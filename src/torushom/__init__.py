@@ -14,8 +14,6 @@ from .algebra import (
     GradedTable,
     LaurentPoly,
     RatFunc,
-    lp_add,
-    lp_mul,
     lp_substitute_monomial,
     monomial_ratio,
     qta_degree_from_QTA,
@@ -51,11 +49,10 @@ from .hecke import (
     HeckeElement,
     QPoly,
     braid_hecke_product,
-    braid_matrix_symbolic,
+    braid_matrix,
     braid_transfer_product,
     brute_force_count,
     check_braid_matrix_relation,
-    hecke_mul_gen,
     point_count,
 )
 from .recursion import (

@@ -172,14 +172,6 @@ T = LaurentPoly.monomial(1, et=1)
 ONE_MINUS_Q = ONE - Q
 
 
-def lp_add(p1: LaurentPoly, p2: LaurentPoly) -> LaurentPoly:
-    return p1 + p2
-
-
-def lp_mul(p1: LaurentPoly, p2: LaurentPoly) -> LaurentPoly:
-    return p1 * p2
-
-
 def lp_substitute_monomial(
     p: LaurentPoly, var: str, image: LaurentPoly | None
 ) -> LaurentPoly:
@@ -353,14 +345,6 @@ def ratfunc_normalize(num: LaurentPoly, denom_pow: int) -> RatFunc:
         num = q
         denom_pow -= 1
     return RatFunc(num, denom_pow)
-
-
-def ratfunc_add(r1: RatFunc, r2: RatFunc) -> RatFunc:
-    return r1 + r2
-
-
-def ratfunc_mul(r1: RatFunc, r2: RatFunc) -> RatFunc:
-    return r1 * r2
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,16 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.all_passed for r in reports) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torushom",
@@ -188,7 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
         "and curve-singularity cell data.",
     )
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for brute force"
+        "--threads",
+        type=_positive_int,
+        default=1,
+        help="worker threads for brute force (at most the CPU count are used)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,9 @@ elementary crossing matrices and P_w the permutation matrix of the target.
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -92,9 +94,6 @@ class QPoly:
         res = QPoly.__new__(QPoly)
         res._coeffs = out
         return res
-
-    def scale(self, c: int) -> "QPoly":
-        return QPoly({e: c * v for e, v in self._coeffs.items()})
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q**k (k may be negative only if exactly divisible)."""
@@ -180,12 +179,6 @@ class HeckeElement:
                 raise ValueError("permutation size does not match strand count")
         return HeckeElement(strands, tuple(sorted(clean.items())))
 
-    @staticmethod
-    def unit(strands: int) -> "HeckeElement":
-        return HeckeElement.build(
-            strands, {identity_permutation(strands): QPoly.const(1)}
-        )
-
     def as_dict(self) -> dict[Permutation, QPoly]:
         return dict(self.support)
 
@@ -197,13 +190,10 @@ _Q = QPoly({1: 1})
 _Q_MINUS_1 = QPoly({1: 1, 0: -1})
 
 
-def _mul_gen(support: dict[Permutation, QPoly], i: int, scaled: bool):
-    """Right multiplication by the generator at index i.
-
-    scaled=False is the T-basis rule T_w T_s; scaled=True is the geometric
-    transfer rule, whose coefficients are q^len(w) times the T-basis ones
-    (each crossing sums over the q points of an affine line of flags).
-    """
+def _mul_gen(support: dict[Permutation, QPoly], i: int) -> dict[Permutation, QPoly]:
+    """Right multiplication by the generator at index i under the geometric
+    transfer rule: each crossing sums over the q points of an affine line of
+    flags, so the coefficients are q^len(w) times the T-basis ones."""
     out: dict[Permutation, QPoly] = {}
 
     def bump(w, c):
@@ -213,40 +203,31 @@ def _mul_gen(support: dict[Permutation, QPoly], i: int, scaled: bool):
     for w, c in support.items():
         ws = apply_gen(w, i)
         if w[i - 1] < w[i]:  # length goes up
-            bump(ws, c * _Q if scaled else c)
+            bump(ws, c * _Q)
         else:
             bump(w, c * _Q_MINUS_1)
-            bump(ws, c if scaled else c * _Q)
+            bump(ws, c)
     return {w: c for w, c in out.items() if not c.is_zero()}
-
-
-def hecke_mul_gen(h: HeckeElement, i: int) -> HeckeElement:
-    """T-basis rule: T_w T_s = T_{ws} if length rises, else
-    (q-1) T_w + q T_{ws}."""
-    if not 1 <= i <= h.strands - 1:
-        raise ValueError(f"generator index {i} out of range")
-    return HeckeElement.build(h.strands, _mul_gen(h.as_dict(), i, scaled=False))
-
-
-def _fold(b: BraidWord, scaled: bool) -> dict[Permutation, QPoly]:
-    if not b.is_positive():
-        raise ValueError("point counting requires a positive braid word")
-    support = {identity_permutation(b.strands): QPoly.const(1)}
-    for idx, _ in b.letters:
-        support = _mul_gen(support, idx, scaled)
-    return support
-
-
-def braid_hecke_product(b: BraidWord) -> HeckeElement:
-    """Left-to-right fold of hecke_mul_gen starting from T_e."""
-    return HeckeElement.build(b.strands, _fold(b, scaled=False))
 
 
 def braid_transfer_product(b: BraidWord) -> HeckeElement:
     """Geometric transfer fold: the coefficient at w counts the z-tuples with
     B_beta(z) in the Bruhat cell of w, and equals q^len(w) times the T-basis
     coefficient."""
-    return HeckeElement.build(b.strands, _fold(b, scaled=True))
+    if not b.is_positive():
+        raise ValueError("point counting requires a positive braid word")
+    support = {identity_permutation(b.strands): QPoly.const(1)}
+    for idx, _ in b.letters:
+        support = _mul_gen(support, idx)
+    return HeckeElement.build(b.strands, support)
+
+
+def braid_hecke_product(b: BraidWord) -> HeckeElement:
+    """T-basis product T_e T_{i_1} ... T_{i_r}: the transfer fold with the
+    coefficient at w divided exactly by q^len(w)."""
+    mass = braid_transfer_product(b)
+    support = tuple((w, c.shift(-permutation_length(w))) for w, c in mass.support)
+    return HeckeElement(b.strands, support)
 
 
 def point_count(b: BraidWord, target: Permutation) -> QPoly:
@@ -270,165 +251,63 @@ def point_count(b: BraidWord, target: Permutation) -> QPoly:
     return coeff.shift(-ell)
 
 
-# -- symbolic braid matrices -------------------------------------------------
+# -- braid matrices over Z ----------------------------------------------------
 
-class MPoly:
-    """Sparse multivariate polynomial over Z in variables z_1..z_r."""
-
-    __slots__ = ("nvars", "_terms")
-
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
-        self.nvars = nvars
-        self._terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    @staticmethod
-    def const(nvars: int, c: int) -> "MPoly":
-        return MPoly(nvars, {(0,) * nvars: c})
-
-    @staticmethod
-    def var(nvars: int, j: int) -> "MPoly":
-        e = [0] * nvars
-        e[j] = 1
-        return MPoly(nvars, {tuple(e): 1})
-
-    @property
-    def terms(self) -> dict[tuple[int, ...], int]:
-        return dict(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MPoly)
-            and self.nvars == other.nvars
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self._terms.items()))))
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MPoly(self.nvars, out)
-
-    def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MPoly(self.nvars, out)
-
-    def render(self, names: Sequence[str] | None = None) -> str:
-        if not self._terms:
-            return "0"
-        names = names or [f"z{j + 1}" for j in range(self.nvars)]
-        parts = []
-        for e in sorted(self._terms):
-            c = self._terms[e]
-            body = "*".join(
-                n if k == 1 else f"{n}^{k}" for n, k in zip(names, e) if k
-            )
-            mag = abs(c)
-            if not body:
-                txt = str(mag)
-            elif mag == 1:
-                txt = body
-            else:
-                txt = f"{mag}*{body}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + txt)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + txt)
-        return " ".join(parts)
+def _identity_matrix(n: int) -> list[list[int]]:
+    return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
-SymbolicMatrix = tuple[tuple[MPoly, ...], ...]
-
-
-def _identity_matrix(n: int, nvars: int) -> SymbolicMatrix:
-    return tuple(
-        tuple(MPoly.const(nvars, 1 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _elementary_matrix(n: int, i: int, z: MPoly) -> SymbolicMatrix:
+def _elementary_matrix(n: int, i: int, z: int) -> list[list[int]]:
     """Identity with the 2x2 block [[0,1],[1,z]] at rows/cols i, i+1."""
-    nvars = z.nvars
-    rows = [
-        [MPoly.const(nvars, 1 if r == c else 0) for c in range(n)] for r in range(n)
-    ]
-    rows[i - 1][i - 1] = MPoly.const(nvars, 0)
-    rows[i - 1][i] = MPoly.const(nvars, 1)
-    rows[i][i - 1] = MPoly.const(nvars, 1)
-    rows[i][i] = z
-    return tuple(tuple(r) for r in rows)
-
-
-def _mat_mul(a: SymbolicMatrix, b: SymbolicMatrix) -> SymbolicMatrix:
-    n = len(a)
-    nvars = a[0][0].nvars
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = MPoly.const(nvars, 0)
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def braid_matrix_symbolic(b: BraidWord) -> SymbolicMatrix:
-    """Exact product of the elementary matrices B_{i_k}(z_k) in word order."""
-    if not b.is_positive():
-        raise ValueError("braid matrices are defined for positive words")
-    r = len(b.letters)
-    m = _identity_matrix(b.strands, r)
-    for k, (idx, _) in enumerate(b.letters):
-        m = _mat_mul(m, _elementary_matrix(b.strands, idx, MPoly.var(r, k)))
+    m = _identity_matrix(n)
+    m[i - 1][i - 1], m[i - 1][i], m[i][i - 1], m[i][i] = 0, 1, 1, z
     return m
 
 
+def braid_matrix(b: BraidWord, z: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Exact product over Z of the elementary matrices B_{i_k}(z_k) in word
+    order."""
+    if not b.is_positive():
+        raise ValueError("braid matrices are defined for positive words")
+    if len(z) != len(b.letters):
+        raise ValueError(f"need {len(b.letters)} values of z, got {len(z)}")
+    n = b.strands
+    m = _identity_matrix(n)
+    for (idx, _), zk in zip(b.letters, z):
+        e = _elementary_matrix(n, idx, zk)
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*e)] for row in m]
+    return tuple(map(tuple, m))
+
+
 def check_braid_matrix_relation(i: int, n: int) -> bool:
-    """B_i(z1) B_{i+1}(z2) B_i(z3) == B_{i+1}(z3) B_i(z2 - z1 z3) B_{i+1}(z1)."""
+    """B_i(z1) B_{i+1}(z2) B_i(z3) == B_{i+1}(z3) B_i(z2 - z1 z3) B_{i+1}(z1).
+
+    Every entry of either side is a polynomial of degree <= 2 in each z_j
+    (z1 and z3 enter the right side twice, everything else once), and such a
+    polynomial that vanishes on S^3 for a set S of three values is zero. So
+    agreement on the grid {0,1,2}^3 proves the identity over Z.
+    """
     if not 1 <= i <= n - 2:
         raise ValueError("need 1 <= i <= n-2")
-    z1, z2, z3 = (MPoly.var(3, j) for j in range(3))
-    lhs = _mat_mul(
-        _mat_mul(_elementary_matrix(n, i, z1), _elementary_matrix(n, i + 1, z2)),
-        _elementary_matrix(n, i, z3),
+    lhs_word = BraidWord.make(n, [i, i + 1, i])
+    rhs_word = BraidWord.make(n, [i + 1, i, i + 1])
+    return all(
+        braid_matrix(lhs_word, (z1, z2, z3))
+        == braid_matrix(rhs_word, (z3, z2 - z1 * z3, z1))
+        for z1, z2, z3 in itertools.product(range(3), repeat=3)
     )
-    rhs = _mat_mul(
-        _mat_mul(
-            _elementary_matrix(n, i + 1, z3),
-            _elementary_matrix(n, i, z2 - z1 * z3),
-        ),
-        _elementary_matrix(n, i + 1, z1),
-    )
-    return lhs == rhs
 
 
 # -- brute force over a prime field ------------------------------------------
 
 BRUTE_BUDGET = 10**9
 _CHUNK_BITS = 16
+
+
+def worker_count(threads: int) -> int:
+    """Brute-force worker threads for a requested count: at least one, and
+    no more than the CPUs, since a pool may start one thread per prefix."""
+    return max(1, min(threads, os.cpu_count() or 1))
 
 
 def _is_prime(p: int) -> bool:
@@ -440,14 +319,6 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-def _perm_matrix(w: Permutation) -> np.ndarray:
-    n = len(w)
-    m = np.zeros((n, n), dtype=np.int64)
-    for j, wj in enumerate(w):
-        m[wj - 1, j] = 1
-    return m
 
 
 def _count_chunk(
@@ -516,8 +387,9 @@ def _enumerate_counts(
     work = lambda m: _count_chunk(
         m, indices[prefix_len:], z_patterns, p, targets_cols, tril
     )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = worker_count(threads)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(work, prefix_products()))
     else:
         partials = [work(m) for m in prefix_products()]

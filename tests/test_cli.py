@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from torushom.algebra import ratfunc_from_json, table_from_json
 from torushom.cli import dispatch
 from torushom.hecke import QPoly
@@ -132,6 +134,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "catalan", "2", "4")
         assert code == 2
         assert "coprime" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        code, _, err = run(capsys, "--threads", threads, "verify", "hm-paper-tables")
+        assert code == 2
+        assert "argument --threads" in err
 
     def test_verify_single_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "braid-variety-closed-forms")

@@ -1,26 +1,25 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torushom import hecke
 from torushom.braid import (
     BraidWord,
     cyclic_rotate,
     identity_permutation,
     longest_permutation,
-    permutation_length,
     torus_braid,
 )
 from torushom.hecke import (
-    HeckeElement,
-    MPoly,
     QPoly,
     braid_hecke_product,
-    braid_matrix_symbolic,
-    braid_transfer_product,
+    braid_matrix,
     brute_force_count,
     check_braid_matrix_relation,
-    hecke_mul_gen,
     point_count,
+    worker_count,
 )
 
 
@@ -36,49 +35,63 @@ def words(max_strands=3, max_len=6):
     )
 
 
+def grid(r, values=range(3)):
+    return itertools.product(values, repeat=r)
+
+
 class TestSymbolicMatrices:
+    """Braid matrix entries are polynomials of degree <= 1 in each z_k, so
+    their values on the grid {0,1,2}^r pin them down."""
+
     def test_sigma_cubed(self):
-        m = braid_matrix_symbolic(torus_braid(2, 3))
-        z = [MPoly.var(3, j) for j in range(3)]
-        one = MPoly.const(3, 1)
-        assert m[0][0] == z[1]
-        assert m[0][1] == one + z[1] * z[2]
-        assert m[1][0] == one + z[0] * z[1]
-        assert m[1][1] == z[0] + z[2] + z[0] * z[1] * z[2]
+        for z1, z2, z3 in grid(3):
+            assert braid_matrix(torus_braid(2, 3), (z1, z2, z3)) == (
+                (z2, 1 + z2 * z3),
+                (1 + z1 * z2, z1 + z3 + z1 * z2 * z3),
+            )
 
     def test_empty_word(self):
-        m = braid_matrix_symbolic(BraidWord(3, ()))
-        for i in range(3):
-            for j in range(3):
-                assert m[i][j] == MPoly.const(0, 1 if i == j else 0)
+        assert braid_matrix(BraidWord(3, ()), ()) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_sigma_fourth_lower_left(self):
-        m = braid_matrix_symbolic(torus_braid(2, 4))
-        z = [MPoly.var(4, j) for j in range(4)]
-        assert m[1][0] == z[0] + z[2] + z[0] * z[1] * z[2]
+        for z1, z2, z3, z4 in grid(4):
+            m = braid_matrix(torus_braid(2, 4), (z1, z2, z3, z4))
+            assert m[1][0] == z1 + z3 + z1 * z2 * z3
 
     def test_negative_word_rejected(self):
         with pytest.raises(ValueError):
-            braid_matrix_symbolic(BraidWord.make(2, [-1]))
+            braid_matrix(BraidWord.make(2, [-1]), (0,))
+
+    def test_z_count_must_match_word_length(self):
+        with pytest.raises(ValueError, match="values of z"):
+            braid_matrix(torus_braid(2, 3), (0, 1))
 
     @pytest.mark.parametrize("i,n", [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
     def test_matrix_braid_relation(self, i, n):
         assert check_braid_matrix_relation(i, n)
 
+    @pytest.mark.parametrize("i,n", [(1, 3), (2, 4)])
+    def test_wrong_relation_differs_on_grid(self, i, n):
+        # Flipping the sign of z1 z3 in the middle factor breaks the relation,
+        # and the grid used by check_braid_matrix_relation sees it.
+        lhs, rhs = BraidWord.make(n, [i, i + 1, i]), BraidWord.make(n, [i + 1, i, i + 1])
+        assert any(
+            braid_matrix(lhs, (z1, z2, z3)) != braid_matrix(rhs, (z3, z2 + z1 * z3, z1))
+            for z1, z2, z3 in grid(3)
+        )
+
 
 class TestHeckeProduct:
     def test_unit_times_gen(self):
-        h = hecke_mul_gen(HeckeElement.unit(2), 1)
-        assert h.as_dict() == {(2, 1): qp({0: 1})}
+        assert braid_hecke_product(torus_braid(2, 1)).as_dict() == {(2, 1): qp({0: 1})}
 
     def test_quadratic_rule(self):
-        h = hecke_mul_gen(hecke_mul_gen(HeckeElement.unit(2), 1), 1)
+        # T_s^2 = (q-1) T_s + q
+        h = braid_hecke_product(torus_braid(2, 2))
         assert h.as_dict() == {(2, 1): qp({1: 1, 0: -1}), (1, 2): qp({1: 1})}
 
     def test_two_rule_applications(self):
-        h = HeckeElement.unit(2)
-        for _ in range(3):
-            h = hecke_mul_gen(h, 1)
+        h = braid_hecke_product(torus_braid(2, 3))
         # ((q-1)^2 + q) T_s + q(q-1) T_e
         assert h.coefficient((2, 1)) == qp({2: 1, 1: -1, 0: 1})
         assert h.coefficient((1, 2)) == qp({2: 1, 1: -1})
@@ -94,15 +107,6 @@ class TestHeckeProduct:
         assert braid_hecke_product(BraidWord.make(3, [1, 2, 1])).as_dict() == {
             (3, 2, 1): qp({0: 1})
         }
-
-    @given(words())
-    @settings(max_examples=40, deadline=None)
-    def test_transfer_is_scaled_t_basis(self, b):
-        plain = braid_hecke_product(b).as_dict()
-        mass = braid_transfer_product(b).as_dict()
-        assert plain.keys() == mass.keys()
-        for w, c in plain.items():
-            assert mass[w] == c.shift(permutation_length(w))
 
 
 class TestPointCount:
@@ -179,6 +183,31 @@ class TestBruteForce:
     def test_matches_transfer_count(self, b, p):
         for target in (identity_permutation(b.strands), longest_permutation(b.strands)):
             assert brute_force_count(b, target, p) == point_count(b, target).evaluate(p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_definitional_count(self, p):
+        # Count z with B_b(z) P_w upper triangular mod p straight from the
+        # definition, with P_w[w_j - 1][j] = 1, sharing no code with the
+        # column-operation kernel behind brute_force_count.
+        for n in range(1, 4):
+            for r in range(5):
+                for letters in itertools.product(range(1, n), repeat=r):
+                    b = BraidWord.make(n, letters)
+                    for w in (identity_permutation(n), longest_permutation(n)):
+                        perm = [[int(w[j] == i + 1) for j in range(n)] for i in range(n)]
+                        count = 0
+                        for z in grid(r, range(p)):
+                            m = braid_matrix(b, z)
+                            bp = [[sum(m[i][k] * perm[k][j] for k in range(n)) for j in range(n)]
+                                  for i in range(n)]
+                            count += all(bp[i][j] % p == 0 for i in range(n) for j in range(i))
+                        assert count == brute_force_count(b, w, p), (letters, w, p)
+
+    def test_worker_count_clamped_to_cpus(self, monkeypatch):
+        monkeypatch.setattr(hecke.os, "cpu_count", lambda: 2)
+        assert [worker_count(t) for t in (-1, 0, 1, 2, 3, 5000)] == [1, 1, 1, 2, 2, 2]
+        monkeypatch.setattr(hecke.os, "cpu_count", lambda: None)
+        assert worker_count(8) == 1
 
     def test_non_involutive_target(self):
         # B_1(z1) B_2(z2) P_w upper triangular only for w = (3,1,2), z = 0.
