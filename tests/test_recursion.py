@@ -1,3 +1,7 @@
+import hashlib
+from functools import cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +13,7 @@ from torushom.algebra import (
     Q,
     RatFunc,
     T,
+    ratfunc_normalize,
     series_truncate,
 )
 from torushom import recursion
@@ -60,8 +65,8 @@ class TestPairSeries:
 
     def test_memo_determinism(self):
         first = hhh_torus(3, 5)
-        recursion.clear_memo()
         assert hhh_torus(3, 5) == first
+        assert pair_series("01", "10") == pair_series("01", "10")
 
     @given(st.integers(1, 6), st.integers(1, 6))
     @settings(deadline=None)
@@ -81,6 +86,127 @@ class TestPairSeries:
     def test_terminates_on_general_pairs(self, v, w):
         if v.count("1") == w.count("1"):
             pair_series(v, w)
+
+
+def reference_series(v: str, w: str) -> RatFunc:
+    """The five rules evaluated directly on RatFunc values, memoised per call."""
+
+    @cache
+    def p(v: str, w: str) -> RatFunc:
+        if not v or not w:
+            n = len(v) + len(w)
+            return RatFunc.of((ONE + A) ** n, n)
+        last = (v[-1], w[-1])
+        if last == ("1", "1"):
+            ell = v.count("1") - 1
+            return RatFunc.from_poly(mono(1, et=ell) + A) * p(v[:-1], w[:-1])
+        if last == ("0", "1"):
+            return p(v[:-1], "1" + w[:-1])
+        if last == ("1", "0"):
+            return p("1" + v[:-1], w[:-1])
+        if "1" not in v and "1" not in w:
+            inner = p("1" + v[:-1], "1" + w[:-1])
+            return ratfunc_normalize(inner.num, inner.denom_pow + 1)
+        ell = v.count("1")
+        head = RatFunc.from_poly(mono(1, et=-ell)) * p("1" + v[:-1], "1" + w[:-1])
+        tail = RatFunc.from_poly(mono(1, eq=1, et=-ell)) * p("0" + v[:-1], "0" + w[:-1])
+        return head + tail
+
+    return p(v, w)
+
+
+def poly_digest(p: LaurentPoly) -> str:
+    text = ";".join(f"{a},{q},{t},{c}" for (a, q, t), c in sorted(p.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@st.composite
+def balanced_pairs(draw):
+    """Two binary strings of length <= 9 with equally many 1s."""
+    ones = draw(st.integers(0, 9))
+
+    def word() -> str:
+        zeros = draw(st.integers(0, 9 - ones))
+        return "".join(draw(st.permutations("1" * ones + "0" * zeros)))
+
+    return word(), word()
+
+
+class TestAgainstReference:
+    @given(balanced_pairs())
+    @settings(deadline=None, max_examples=150)
+    def test_random_balanced_pairs(self, pair):
+        v, w = pair
+        assert pair_series(v, w) == reference_series(v, w)
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in range(0, 14) for n in range(0, 14) if m + n <= 13]
+    )
+    def test_small_torus_links(self, m, n):
+        assert hhh_torus(m, n) == reference_series("0" * m, "0" * n)
+
+    @pytest.mark.parametrize(
+        "m,n,denom_pow,terms,digest",
+        [
+            (9, 9, 9, 5011, "02f44a4d5aa43d8b8fc2dc3e6f0ad7a57ede3db8b505b81f9fc133f201c84fef"),
+            (10, 11, 1, 5698, "6d0b3858959b6a02610248bb6853de05f64645f6c82854e0743c3ffdf82c9c0f"),
+        ],
+    )
+    def test_pinned_digests(self, m, n, denom_pow, terms, digest):
+        r = hhh_torus(m, n)
+        assert (r.denom_pow, len(r.num), poly_digest(r.num)) == (denom_pow, terms, digest)
+
+
+class TestEngineKernels:
+    # No torus or random pair seen so far cancels a border slice or leaves a
+    # (1 - q) to divide out, so these paths are checked on made-up numerators.
+    def test_normalize_trims_and_divides(self):
+        # (1 - q)^2 (1 + a t) / (1 - q)^3, with a zero border slice in t.
+        arr = np.zeros((2, 3, 3), dtype=np.int64)
+        arr[0, :, 0] = [1, -2, 1]
+        arr[1, :, 1] = [1, -2, 1]
+        x = recursion._normalize(arr, (0, 0, 0), 3, 2)
+        assert (x.arr.shape, x.d) == ((2, 1, 2), 1)
+        assert recursion._to_ratfunc(x) == RatFunc.of(ONE + A * T, 1)
+
+    def test_normalize_zero(self):
+        x = recursion._normalize(np.zeros((1, 2, 1), dtype=np.int64), (0, 0, 0), 2, 0)
+        assert recursion._to_ratfunc(x) == RatFunc.zero()
+
+
+class TestEngineLimits:
+    def test_bignum_base(self):
+        # C(70, 35) is about 1.1e20, past int64.
+        assert pair_series("", "0" * 70) == RatFunc((ONE + A) ** 70, 70)
+
+    def test_python_int_fallback_matches(self, monkeypatch):
+        expected = {mn: hhh_torus(*mn) for mn in [(5, 5), (6, 7)]}
+        roots = []
+        to_ratfunc = recursion._to_ratfunc
+
+        def spy(x):
+            roots.append(x.arr.dtype)
+            return to_ratfunc(x)
+
+        # Coefficients of these series stay below 32, so a headroom of 16
+        # sends part of each evaluation, the root included, to Python ints.
+        monkeypatch.setattr(recursion, "INT64_HEADROOM", 2**4)
+        monkeypatch.setattr(recursion, "_to_ratfunc", spy)
+        for mn, value in expected.items():
+            assert hhh_torus(*mn) == value
+        assert roots == [object, object]
+
+    def test_state_budget(self, monkeypatch):
+        monkeypatch.setattr(recursion, "MAX_STATES", 10)
+        with pytest.raises(ValueError, match="total length 11 needs more than 10 recursion states"):
+            hhh_torus(5, 6)
+        assert hhh_torus(1, 2) == reference_series("0", "00")
+
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", 4096)
+        with pytest.raises(ValueError, match="total length 80 needs more than 0 MiB"):
+            pair_series("1" * 40, "1" * 40)
+        assert hhh_torus(2, 3) == reference_series("00", "000")
 
 
 class TestTorusSeries:
