@@ -19,7 +19,8 @@ Python ints past it; the arithmetic is exact either way.
 
 from __future__ import annotations
 
-from math import comb, gcd
+import sys
+from math import gcd
 
 import numpy as np
 
@@ -35,9 +36,13 @@ from .algebra import (
 # Admission budget of one evaluation, about 1 GB of memory in all.  The plan
 # stops past MAX_STATES distinct pairs: peak RSS per state measured 3.2 kB on
 # T(14,15) (49,137 states) and 4.3 kB on T(16,17) (196,591 states, admitted).
-# Links need more per state (21 kB on T(14,14)), so evaluation also stops
-# once the numerators it holds pass MAX_LIVE_BYTES; T(16,17) peaks at 719 MiB.
+# It also stops once its pairs hold MAX_PLAN_CHARS characters, since few
+# states may still have long strings (T(1, n) has about n^2 / 2); T(16,17)
+# holds 6.0 million.  Links need more per state (21 kB on T(14,14)), so
+# evaluation also stops before the numerators it holds would pass
+# MAX_LIVE_BYTES; T(16,17) peaks at 719 MiB.
 MAX_STATES = 250_000
+MAX_PLAN_CHARS = 8_000_000
 MAX_LIVE_BYTES = 768 << 20
 
 # Coefficient bound past which a numerator switches from int64 to Python ints.
@@ -61,19 +66,27 @@ class _Num:
         self.d = d
         self.bound = bound
 
-    def make_room(self, factor: int) -> None:
-        """Ensure int64 arithmetic may grow the coefficients by ``factor``:
-        tighten the bound to the true maximum, else switch to Python ints."""
-        if self.arr.dtype == object or self.bound * factor < INT64_HEADROOM:
-            return
-        self.bound = int(np.abs(self.arr).max())
-        if self.bound * factor >= INT64_HEADROOM:
-            self.arr = self.arr.astype(object)
+
+def _room(x: _Num, factor: int):
+    """x.arr, ready for arithmetic that grows its coefficients by ``factor``.
+
+    When int64 could overflow, the bound is first tightened to the true
+    maximum, and if that is not enough a Python-int copy is returned.  The
+    stored value is never converted, so its accounted size stays right.
+    """
+    if x.arr.dtype == object or x.bound * factor < INT64_HEADROOM:
+        return x.arr
+    x.bound = int(np.abs(x.arr).max())
+    if x.bound * factor < INT64_HEADROOM:
+        return x.arr
+    return x.arr.astype(object)
 
 
 def _base(n: int) -> _Num:
     """(1 + a)^n / (1 - q)^n."""
-    coeffs = [comb(n, k) for k in range(n + 1)]
+    coeffs = [1]
+    for k in range(n):  # math.comb per entry would cost a factor of n more
+        coeffs.append(coeffs[-1] * (n - k) // (k + 1))
     bound = coeffs[n // 2]
     dtype = object if bound >= INT64_HEADROOM else np.int64
     return _Num(np.array(coeffs, dtype=dtype).reshape(n + 1, 1, 1), 0, 0, 0, n, bound)
@@ -82,8 +95,7 @@ def _base(n: int) -> _Num:
 def _times_t_plus_a(x: _Num, ell: int) -> _Num:
     """(t^ell + a) * x.  A product of trimmed polynomials is trimmed, and
     (1 - q) does not divide t^ell + a, so the result is canonical."""
-    x.make_room(2)
-    arr = x.arr
+    arr = _room(x, 2)
     na, nq, nt = arr.shape
     out = np.zeros((na + 1, nq, nt + abs(ell)), dtype=arr.dtype)
     s = max(ell, 0)
@@ -133,8 +145,7 @@ def _normalize(arr, off, d: int, bound: int) -> _Num:
         if x.arr.sum():
             break
         nq = x.arr.shape[1]
-        x.make_room(nq)
-        sums = np.cumsum(x.arr, axis=1)
+        sums = np.cumsum(_room(x, nq), axis=1)
         if sums[:, -1].any():
             break
         x.arr = sums[:, :-1]
@@ -147,9 +158,7 @@ def _sum_with_q(head: _Num, tail: _Num, ell: int) -> _Num:
     """t^-ell * (head + q * tail), over the common denominator."""
     d = max(head.d, tail.d)
     kh, kt = d - head.d, d - tail.d
-    head.make_room(2 << kh)
-    tail.make_room(2 << kt)
-    harr, tarr = _lift(head.arr, kh), _lift(tail.arr, kt)
+    harr, tarr = _lift(_room(head, 2 << kh), kh), _lift(_room(tail, 2 << kt), kt)
     (hna, hnq, hnt), (tna, tnq, tnt) = harr.shape, tarr.shape
     toq = tail.oq + 1
     oa, oq, ot = min(head.oa, tail.oa), min(head.oq, toq), min(head.ot, tail.ot)
@@ -189,14 +198,20 @@ def _step(v: str, w: str):
     return _SUM, v.count("1"), (ones, ("0" + v[:-1], "0" + w[:-1]))
 
 
+def _refusal(v: str, w: str, need: str) -> ValueError:
+    return ValueError(f"pair of total length {len(v) + len(w)} needs more than {need}")
+
+
 def _plan(v: str, w: str):
     """Steps in evaluation order (children first) and consumer counts.
 
-    Raises ValueError as soon as more than MAX_STATES distinct pairs are
-    reachable, before any series is evaluated.
+    Raises ValueError as soon as more than MAX_STATES distinct pairs, or
+    pairs of more than MAX_PLAN_CHARS characters, are reachable, before any
+    series is evaluated.
     """
     ids = {(v, w): 0}
     pairs = [(v, w)]
+    chars = len(v) + len(w)
     steps = []
     for pair in pairs:  # grows while iterating: a breadth-first walk
         rule, arg, kids = _step(*pair)
@@ -206,10 +221,13 @@ def _plan(v: str, w: str):
             if j is None:
                 j = ids[kid] = len(pairs)
                 pairs.append(kid)
+                chars += len(kid[0]) + len(kid[1])
                 if j >= MAX_STATES:
-                    raise ValueError(
-                        f"pair of total length {len(v) + len(w)} needs more than "
-                        f"{MAX_STATES} recursion states (the admission budget)"
+                    raise _refusal(v, w, f"{MAX_STATES} recursion states (the admission budget)")
+                if chars > MAX_PLAN_CHARS:
+                    raise _refusal(
+                        v, w, f"{MAX_PLAN_CHARS} characters of recursion states "
+                        "(the admission budget)"
                     )
             kid_ids.append(j)
         steps.append((rule, arg, tuple(kid_ids)))
@@ -238,10 +256,24 @@ def _plan(v: str, w: str):
     return steps, order, consumers
 
 
+def _int_bytes(bits: int) -> int:
+    """Upper bound on the memory of a Python-int array entry below 2^bits:
+    its pointer and the int object."""
+    info = sys.int_info
+    return 8 + sys.getsizeof(1) + info.sizeof_digit * (bits // info.bits_per_digit)
+
+
 def _nbytes(x: _Num) -> int:
-    """Memory held by a numerator; a Python-int entry costs its pointer and
-    an int object of about 40 bytes."""
-    return x.arr.size * (48 if x.arr.dtype == object else x.arr.itemsize)
+    """Memory held by a numerator, an upper bound for Python ints."""
+    if x.arr.dtype != object:
+        return x.arr.nbytes
+    return x.arr.size * _int_bytes(x.bound.bit_length())
+
+
+def _base_bytes(n: int) -> int:
+    """Upper bound on _nbytes(_base(n)), known before it is built: the
+    entries are below 2^n, and int64 below 2^62."""
+    return (n + 1) * (8 if n < 62 else _int_bytes(n))
 
 
 def _evaluate(v: str, w: str) -> _Num:
@@ -249,9 +281,12 @@ def _evaluate(v: str, w: str) -> _Num:
     values: list[_Num | None] = [None] * len(steps)
     held = [0] * len(steps)
     live = 0  # bytes held by stored values; a shared value may count twice
+    memory = f"{MAX_LIVE_BYTES >> 20} MiB of live numerators (the memory budget)"
     for i in order:
         rule, arg, kids = steps[i]
         if rule == _BASE:
+            if live + _base_bytes(arg) > MAX_LIVE_BYTES:
+                raise _refusal(v, w, memory)
             res = _base(arg)
         elif rule == _MUL:
             res = _times_t_plus_a(values[kids[0]], arg)
@@ -266,10 +301,7 @@ def _evaluate(v: str, w: str) -> _Num:
         held[i] = _nbytes(res)
         live += held[i]
         if live > MAX_LIVE_BYTES:
-            raise ValueError(
-                f"pair of total length {len(v) + len(w)} needs more than "
-                f"{MAX_LIVE_BYTES >> 20} MiB of live numerators (the memory budget)"
-            )
+            raise _refusal(v, w, memory)
         for j in kids:
             consumers[j] -= 1
             if not consumers[j]:

@@ -149,6 +149,16 @@ class TestExitCodes:
         assert code == 2
         assert "total length 60" in err and "admission budget" in err
 
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_long_thin_torus_rejected_quickly(self, capsys, m):
+        # T(0, n) is one state with a base of n + 1 binomials of about n bits;
+        # T(1, n) has about n states whose strings sum to about n^2 / 2.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "hhh", "torus", m, "200000")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert f"total length {200000 + int(m)}" in err
+
     def test_verify_single_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "braid-variety-closed-forms")
         assert code == 0

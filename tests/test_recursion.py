@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from functools import cache
 
 import numpy as np
@@ -196,11 +197,39 @@ class TestEngineLimits:
             assert hhh_torus(*mn) == value
         assert roots == [object, object]
 
+    def test_room_converts_a_copy(self, monkeypatch):
+        # A stored value keeps its dtype, so its accounted size stays right.
+        monkeypatch.setattr(recursion, "INT64_HEADROOM", 2**4)
+        x = recursion._base(3)
+        assert recursion._room(x, 8).dtype == object
+        assert x.arr.dtype == np.int64
+
     def test_state_budget(self, monkeypatch):
         monkeypatch.setattr(recursion, "MAX_STATES", 10)
         with pytest.raises(ValueError, match="total length 11 needs more than 10 recursion states"):
             hhh_torus(5, 6)
         assert hhh_torus(1, 2) == reference_series("0", "00")
+
+    def test_plan_character_budget(self, monkeypatch):
+        # T(1, 40) has 42 states but strings of up to 40 characters.
+        monkeypatch.setattr(recursion, "MAX_PLAN_CHARS", 200)
+        with pytest.raises(ValueError, match="total length 41 needs more than 200 characters"):
+            hhh_torus(1, 40)
+        assert hhh_torus(1, 3) == reference_series("0", "000")
+
+    def test_base_refused_before_it_is_built(self, monkeypatch):
+        built = []
+        base = recursion._base
+        monkeypatch.setattr(recursion, "_base", lambda n: built.append(n) or base(n))
+        with pytest.raises(ValueError, match="total length 100000 needs more than 768 MiB"):
+            pair_series("", "0" * 100_000)
+        assert built == []
+
+    def test_python_int_entries_counted_by_size(self):
+        x = recursion._base(200)
+        assert x.arr.dtype == object
+        real = sum(8 + sys.getsizeof(c) for c in x.arr.flat)
+        assert real <= recursion._nbytes(x) <= recursion._base_bytes(200) < 2 * real
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", 4096)
