@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-MAX_STRANDS = 12  # permutation-indexed supports stay desk-scale
+MAX_STRANDS = 12  # Hecke fold keys of permutations fit int64; its memory budget bounds a fold
 
 Permutation = tuple[int, ...]
 

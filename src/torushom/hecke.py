@@ -3,7 +3,8 @@
 Two independent methods:
 
 * a transfer computation in the Iwahori-Hecke algebra of S_n, folding one
-  braid letter at a time (fast, output is a polynomial in q);
+  braid letter at a time into an integer array with a row per permutation
+  and a column per power of q (fast, output is a polynomial in q);
 * brute-force enumeration of the defining matrix equations over a small
   prime field (slow, output is an integer, ground truth).
 
@@ -19,18 +20,13 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from math import comb
+from typing import Sequence
 
 import numpy as np
 
-from .braid import (
-    BraidWord,
-    Permutation,
-    apply_gen,
-    identity_permutation,
-    inverse_permutation,
-    permutation_length,
-)
+from .braid import BraidWord, Permutation, inverse_permutation, permutation_length
+from .recursion import MAX_LIVE_BYTES, _int_bytes, _needs_object
 
 
 class QPoly:
@@ -39,26 +35,13 @@ class QPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c == 0:
-                    continue
-                if e < 0:
-                    raise ValueError("negative q-exponent in a point-count polynomial")
-                clean[e] = c
-        self._coeffs = clean
-
-    @staticmethod
-    def const(c: int) -> "QPoly":
-        return QPoly({0: c})
+        self._coeffs = {e: c for e, c in (coeffs or {}).items() if c}
+        if any(e < 0 for e in self._coeffs):
+            raise ValueError("negative q-exponent in a point-count polynomial")
 
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def degree(self) -> int:
         return max(self._coeffs) if self._coeffs else -1
@@ -69,39 +52,12 @@ class QPoly:
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._coeffs.items())))
 
-    def __add__(self, other: "QPoly") -> "QPoly":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = QPoly.__new__(QPoly)
-        res._coeffs = out
-        return res
-
     def __mul__(self, other: "QPoly") -> "QPoly":
         out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = QPoly.__new__(QPoly)
-        res._coeffs = out
-        return res
-
-    def shift(self, k: int) -> "QPoly":
-        """Multiply by q**k (k may be negative only if exactly divisible)."""
-        if k >= 0:
-            return QPoly({e + k: v for e, v in self._coeffs.items()})
-        if any(e + k < 0 for e in self._coeffs):
-            raise ValueError(f"not divisible by q^{-k}")
-        return QPoly({e + k: v for e, v in self._coeffs.items()})
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return QPoly(out)
 
     def divisible_by_power_of_q(self, k: int) -> bool:
         return all(e >= k for e in self._coeffs)
@@ -109,28 +65,10 @@ class QPoly:
     def evaluate(self, x: int) -> int:
         return sum(c * x**e for e, c in self._coeffs.items())
 
-    def divide_by_q_minus_1(self) -> Optional["QPoly"]:
-        """Exact quotient by (q - 1), or None."""
-        if self.is_zero():
-            return QPoly()
-        if self.evaluate(1) != 0:
-            return None
-        deg = self.degree()
-        out: dict[int, int] = {}
-        carry = 0  # quotient coefficient at current degree
-        for e in range(deg, 0, -1):
-            carry = self._coeffs.get(e, 0) + carry
-            if carry:
-                out[e - 1] = carry
-        return QPoly(out)
-
     def divisible_by_q_minus_1_power(self, k: int) -> bool:
-        f: Optional[QPoly] = self
-        for _ in range(k):
-            f = f.divide_by_q_minus_1()
-            if f is None:
-                return False
-        return True
+        """(q - 1)^k divides p exactly when the first k coefficients of its
+        expansion at q = 1, sum_e c_e C(e, i), are zero."""
+        return not any(sum(c * comb(e, i) for e, c in self._coeffs.items()) for i in range(k))
 
     def render(self) -> str:
         if not self._coeffs:
@@ -171,14 +109,6 @@ class HeckeElement:
     strands: int
     support: tuple[tuple[Permutation, QPoly], ...]
 
-    @staticmethod
-    def build(strands: int, support: dict[Permutation, QPoly]) -> "HeckeElement":
-        clean = {w: c for w, c in support.items() if not c.is_zero()}
-        for w in clean:
-            if len(w) != strands:
-                raise ValueError("permutation size does not match strand count")
-        return HeckeElement(strands, tuple(sorted(clean.items())))
-
     def as_dict(self) -> dict[Permutation, QPoly]:
         return dict(self.support)
 
@@ -186,48 +116,113 @@ class HeckeElement:
         return self.as_dict().get(w, QPoly())
 
 
-_Q = QPoly({1: 1})
-_Q_MINUS_1 = QPoly({1: 1, 0: -1})
+# -- transfer fold -------------------------------------------------------------
+
+class _Fold:
+    """Transfer coefficients: row r holds the polynomial at the permutation
+    with key keys[r], column e its q^e coefficient, and ``bound`` bounds
+    every |coefficient|.  The key of w is sum (w_j - 1) n^(n-1-j): its
+    base-n digits are w - 1, and keys order as the permutations do.  Rows
+    are sorted by key; one is added when the fold reaches its permutation
+    with a nonzero coefficient, and is never dropped."""
+
+    __slots__ = ("weight", "keys", "arr", "bound")
+
+    def __init__(self, n: int, width: int):
+        self.weight = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.keys = np.arange(n)[None] @ self.weight
+        self.arr = np.zeros((1, width), dtype=np.int64)
+        self.arr[0, 0] = self.bound = 1
+
+    def partners(self, j: int):
+        """For s = s_(j+1) and each row w: whether ws is longer, the key of
+        ws, its row and whether that row exists."""
+        n, wj, wk = len(self.weight), self.weight[j], self.weight[j + 1]
+        lo, hi = self.keys // wj % n, self.keys // wk % n
+        keys = self.keys + (hi - lo) * (wj - wk)
+        hit = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return lo < hi, keys, hit, self.keys[hit] == keys
 
 
-def _mul_gen(support: dict[Permutation, QPoly], i: int) -> dict[Permutation, QPoly]:
-    """Right multiplication by the generator at index i under the geometric
-    transfer rule: each crossing sums over the q points of an affine line of
-    flags, so the coefficients are q^len(w) times the T-basis ones."""
-    out: dict[Permutation, QPoly] = {}
+def _fold(b: BraidWord) -> _Fold:
+    """Fold the letters of b into e under the geometric transfer rule: each
+    crossing sums over the q points of an affine line of flags, so the
+    coefficients are q^len(w) times the T-basis ones.  For a generator s,
+    c'[w] = c[ws] where ws is longer than w, and q (c[w] + c[ws]) - c[w]
+    where it is shorter.
 
-    def bump(w, c):
-        prev = out.get(w)
-        out[w] = c if prev is None else prev + c
+    Raises ValueError before the rows would pass MAX_LIVE_BYTES: at the peak
+    of a letter the coefficient array and three half-size temporaries are
+    held, and each row also has its key and about eight index entries.
+    """
+    if not b.is_positive():
+        raise ValueError("point counting requires a positive braid word")
+    n, r = b.strands, len(b.letters)
+    f = _Fold(n, r + 1)
+    for k, (idx, _) in enumerate(b.letters):
+        j, cols = idx - 1, k + 1  # degrees are at most k so far
+        up, keys, hit, found = f.partners(j)
+        # Nonzero rows whose partner has no row yet.
+        missing = np.flatnonzero(~found)
+        fresh = missing[(f.arr[missing, :cols] != 0).any(axis=1)]
+        bignum = _needs_object(f, 3)
+        # Past int64, size each entry by the bound after the last letter,
+        # which is below 4^(r - k) times the present one.
+        entry = _int_bytes(f.bound.bit_length() + 2 * (r - k)) if bignum else 8
+        if (len(f.keys) + len(fresh)) * (5 * (r + 1) * entry // 2 + 72) > MAX_LIVE_BYTES:
+            raise ValueError(
+                f"braid word of {r} letters on {n} strands needs more than "
+                f"{MAX_LIVE_BYTES >> 20} MiB for its Hecke fold (the memory budget)"
+            )
+        if bignum and f.arr.dtype != object:
+            f.arr = f.arr.astype(object)
+        if len(fresh):  # zero rows for their partners, kept sorted
+            new = np.sort(keys[fresh])
+            at = np.searchsorted(f.keys, new)
+            f.keys, f.arr = np.insert(f.keys, at, new), np.insert(f.arr, at, 0, axis=0)
+            up, keys, hit, found = f.partners(j)
+        # The pairs (w, ws) with ws longer.  A row whose partner is missing
+        # holds zero and keeps it.
+        u = np.flatnonzero(up & found)
+        d = hit[u]
+        cu, cd = f.arr[u, :cols], f.arr[d, :cols]
+        f.arr[u, :cols] = cd
+        cu += cd
+        y = np.zeros((len(d), cols + 1), dtype=f.arr.dtype)
+        y[:, 1:] = cu
+        y[:, :cols] -= cd
+        f.arr[d, : cols + 1] = y
+        del cu, cd, y, up, keys, hit, found, u, d  # before the next letter allocates
+        f.bound *= 3
+    return f
 
-    for w, c in support.items():
-        ws = apply_gen(w, i)
-        if w[i - 1] < w[i]:  # length goes up
-            bump(ws, c * _Q)
-        else:
-            bump(w, c * _Q_MINUS_1)
-            bump(ws, c)
-    return {w: c for w, c in out.items() if not c.is_zero()}
+
+def _poly(row, ell: int = 0) -> QPoly:
+    """The polynomial of a coefficient row, divided by q^ell."""
+    return QPoly({e - ell: c for e, c in enumerate(row.tolist()) if c})
+
+
+def _element(b: BraidWord, divide: bool) -> HeckeElement:
+    f = _fold(b)
+    rows = np.flatnonzero((f.arr != 0).any(axis=1))
+    perms = (f.keys[rows, None] // f.weight % b.strands + 1).tolist()
+    support = []
+    for row, w in zip(rows, map(tuple, perms)):
+        support.append((w, _poly(f.arr[row], permutation_length(w) if divide else 0)))
+    return HeckeElement(b.strands, tuple(support))
 
 
 def braid_transfer_product(b: BraidWord) -> HeckeElement:
     """Geometric transfer fold: the coefficient at w counts the z-tuples with
     B_beta(z) in the Bruhat cell of w, and equals q^len(w) times the T-basis
     coefficient."""
-    if not b.is_positive():
-        raise ValueError("point counting requires a positive braid word")
-    support = {identity_permutation(b.strands): QPoly.const(1)}
-    for idx, _ in b.letters:
-        support = _mul_gen(support, idx)
-    return HeckeElement.build(b.strands, support)
+    return _element(b, divide=False)
 
 
 def braid_hecke_product(b: BraidWord) -> HeckeElement:
     """T-basis product T_e T_{i_1} ... T_{i_r}: the transfer fold with the
     coefficient at w divided exactly by q^len(w)."""
-    mass = braid_transfer_product(b)
-    support = tuple((w, c.shift(-permutation_length(w))) for w, c in mass.support)
-    return HeckeElement(b.strands, support)
+    return _element(b, divide=True)
 
 
 def point_count(b: BraidWord, target: Permutation) -> QPoly:
@@ -240,15 +235,16 @@ def point_count(b: BraidWord, target: Permutation) -> QPoly:
     """
     if len(target) != b.strands:
         raise ValueError("target permutation size does not match strand count")
-    mass = braid_transfer_product(b)
-    coeff = mass.coefficient(inverse_permutation(target))
+    f = _fold(b)
+    rows = f.arr[f.keys == (np.array(inverse_permutation(target)) - 1) @ f.weight]
+    row = rows[0] if len(rows) else np.zeros(0, dtype=np.int64)
     ell = permutation_length(target)
-    if not coeff.divisible_by_power_of_q(ell):
+    if row[:ell].any():
         raise ArithmeticError(
-            f"divisibility violated: transfer coefficient {coeff.render()} "
+            f"divisibility violated: transfer coefficient {_poly(row).render()} "
             f"is not divisible by q^{ell}"
         )
-    return coeff.shift(-ell)
+    return _poly(row, ell)
 
 
 # -- braid matrices over Z ----------------------------------------------------

@@ -67,19 +67,22 @@ class _Num:
         self.bound = bound
 
 
-def _room(x: _Num, factor: int):
-    """x.arr, ready for arithmetic that grows its coefficients by ``factor``.
+def _needs_object(x, factor: int) -> bool:
+    """Whether growing the coefficients of x.arr, bounded by x.bound, by
+    ``factor`` needs Python ints.  When int64 could overflow, the bound is
+    first tightened to the true maximum."""
+    if x.arr.dtype != object and x.bound * factor >= INT64_HEADROOM:
+        x.bound = int(np.abs(x.arr).max())
+    return x.arr.dtype == object or x.bound * factor >= INT64_HEADROOM
 
-    When int64 could overflow, the bound is first tightened to the true
-    maximum, and if that is not enough a Python-int copy is returned.  The
-    stored value is never converted, so its accounted size stays right.
-    """
-    if x.arr.dtype == object or x.bound * factor < INT64_HEADROOM:
-        return x.arr
-    x.bound = int(np.abs(x.arr).max())
-    if x.bound * factor < INT64_HEADROOM:
-        return x.arr
-    return x.arr.astype(object)
+
+def _room(x: _Num, factor: int):
+    """x.arr, ready for arithmetic that grows its coefficients by ``factor``:
+    a Python-int copy when int64 is not enough.  The stored value is never
+    converted, so its accounted size stays right."""
+    if x.arr.dtype != object and _needs_object(x, factor):
+        return x.arr.astype(object)
+    return x.arr
 
 
 def _base(n: int) -> _Num:

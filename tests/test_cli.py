@@ -4,6 +4,7 @@ import time
 import pytest
 
 from torushom.algebra import ratfunc_from_json, table_from_json
+from torushom.braid import half_twist, torus_braid
 from torushom.cli import dispatch
 from torushom.hecke import QPoly
 
@@ -158,6 +159,18 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert code == 2
         assert f"total length {200000 + int(m)}" in err
+
+    def test_fold_over_budget_rejected(self, capsys):
+        word = torus_braid(10, 11).word_str()
+        code, _, err = run(capsys, "count", "--strands", "10", "--word", word)
+        assert code == 2
+        assert "braid word of 99 letters on 10 strands" in err and "memory budget" in err
+
+    @pytest.mark.parametrize("target,count", [("w0", "1"), ("e", "0")])
+    def test_twelve_strand_half_twist(self, capsys, target, count):
+        word = half_twist(12).word_str()
+        code, out, _ = run(capsys, "count", "--strands", "12", "--word", word, "--target", target)
+        assert code == 0 and out.strip() == count
 
     def test_verify_single_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "braid-variety-closed-forms")

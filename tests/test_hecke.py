@@ -1,20 +1,27 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torushom import hecke
+from torushom import hecke, recursion
 from torushom.braid import (
     BraidWord,
+    apply_gen,
     cyclic_rotate,
+    half_twist,
     identity_permutation,
+    inverse_permutation,
     longest_permutation,
+    permutation_length,
     torus_braid,
 )
 from torushom.hecke import (
+    HeckeElement,
     QPoly,
     braid_hecke_product,
+    braid_transfer_product,
     braid_matrix,
     brute_force_count,
     check_braid_matrix_relation,
@@ -151,6 +158,89 @@ class TestPointCount:
                 swapped = list(letters)
                 swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
                 assert point_count(BraidWord.make(b.strands, swapped), e) == base
+
+
+def dict_fold(b):
+    """The dict-of-polynomials transfer fold that the array fold replaced,
+    kept as the oracle: {w: {e: c}}, one letter at a time."""
+    support = {identity_permutation(b.strands): {0: 1}}
+    for i, _ in b.letters:
+        out = {}
+
+        def bump(w, poly, shift=0, sign=1):
+            acc = out.setdefault(w, {})
+            for e, c in poly.items():
+                acc[e + shift] = acc.get(e + shift, 0) + sign * c
+
+        for w, c in support.items():
+            ws = apply_gen(w, i)
+            if w[i - 1] < w[i]:  # length goes up
+                bump(ws, c, shift=1)
+            else:
+                bump(w, c, shift=1)
+                bump(w, c, sign=-1)
+                bump(ws, c)
+        support = {w: {e: v for e, v in c.items() if v} for w, c in out.items()}
+        support = {w: c for w, c in support.items() if c}
+    return HeckeElement(b.strands, tuple(sorted((w, QPoly(c)) for w, c in support.items())))
+
+
+class TestAgainstDictFold:
+    """The array fold against the dict fold, on every product and point count."""
+
+    @staticmethod
+    def check(b):
+        mass = dict_fold(b)
+        assert braid_transfer_product(b) == mass
+        scaled = tuple((w, QPoly({e - permutation_length(w): c for e, c in p.coeffs.items()}))
+                       for w, p in mass.support)
+        assert braid_hecke_product(b) == HeckeElement(b.strands, scaled)
+        n = b.strands
+        for target in (identity_permutation(n), longest_permutation(n),
+                       tuple(range(2, n + 1)) + (1,)):
+            coeff = mass.coefficient(inverse_permutation(target)).coeffs
+            ell = permutation_length(target)
+            assert point_count(b, target) == QPoly({e - ell: c for e, c in coeff.items()})
+
+    @given(words(max_strands=5, max_len=12))
+    @settings(max_examples=150, deadline=None)
+    def test_random_words(self, b):
+        self.check(b)
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 7) for n in range(8)])
+    def test_torus_words(self, m, n, twisted):
+        b = torus_braid(m, n)
+        self.check(b.concat(half_twist(m)) if twisted else b)
+
+    def test_half_twist_12(self):
+        # 66 letters each lengthen the permutation: one nonzero row at a
+        # time, so the fold holds 67 rows, all but one of them zero.
+        b = half_twist(12)
+        self.check(b)
+        assert len(hecke._fold(b).keys) == 67
+        tail = b.concat(BraidWord.make(12, [1, 1, 3, 3]))
+        self.check(tail)
+        assert len(braid_transfer_product(tail).support) == 4
+
+
+class TestFoldLimits:
+    def test_python_int_fallback_matches(self, monkeypatch):
+        b = torus_braid(4, 5)
+        expected = braid_transfer_product(b)
+        assert hecke._fold(b).arr.dtype == np.int64
+        # The largest coefficient of this fold is past 16 / 3, so a headroom of
+        # 16 sends it to Python ints.
+        monkeypatch.setattr(recursion, "INT64_HEADROOM", 2**4)
+        assert hecke._fold(b).arr.dtype == object
+        assert braid_transfer_product(b) == expected
+
+    def test_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", 1 << 20)
+        refused = "braid word of 48 letters on 7 strands needs more than 1 MiB"
+        with pytest.raises(ValueError, match=refused):
+            point_count(torus_braid(7, 8), identity_permutation(7))
+        assert point_count(torus_braid(2, 3), identity_permutation(2)) == qp({2: 1, 1: -1})
 
 
 class TestBruteForce:
