@@ -383,6 +383,40 @@ def suite_qt_symmetry() -> VerificationReport:
     return s.report()
 
 
+# -- suite 11: cells vs homology --------------------------------------------------
+
+def suite_cells_vs_homology() -> VerificationReport:
+    """The Jacobian cells, counted by codimension, against the reduced knot
+    numerator of the recursion specialized at q = 1 and at t = 1."""
+    s = _Suite("cells-vs-homology")
+
+    def codimensions(m: int, n: int) -> dict[int, int]:
+        delta = curves.semigroup(m, n).delta
+        out: dict[int, int] = {}
+        for cell in curves.jacobian_cells(m, n):
+            out[delta - cell.dimension] = out.get(delta - cell.dimension, 0) + 1
+        return dict(sorted(out.items()))
+
+    def specialized(m: int, n: int, var: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for exp, c in recursion.reduced_knot_poly(m, n).items():
+            out[exp[var]] = out.get(exp[var], 0) + c
+        return {d: c for d, c in sorted(out.items()) if c}
+
+    for m, n in ((4, 7), (5, 6), (5, 7), (6, 7)):
+        s.check(
+            f"jac({m},{n}) sum t^(delta - dim) = reduced({m},{n}) at q=1",
+            lambda m=m, n=n: specialized(m, n, 2),
+            lambda m=m, n=n: codimensions(m, n),
+        )
+        s.check(
+            f"jac({m},{n}) sum q^(delta - dim) = reduced({m},{n}) at t=1",
+            lambda m=m, n=n: specialized(m, n, 1),
+            lambda m=m, n=n: codimensions(m, n),
+        )
+    return s.report()
+
+
 SUITES: dict[str, Callable[[], VerificationReport]] = {
     "hm-paper-tables": suite_hm_paper_tables,
     "two-strand-oracle": suite_two_strand_oracle,
@@ -394,6 +428,7 @@ SUITES: dict[str, Callable[[], VerificationReport]] = {
     "hilb-series": suite_hilb_series,
     "ors-maulik": suite_ors_maulik,
     "qt-symmetry": suite_qt_symmetry,
+    "cells-vs-homology": suite_cells_vs_homology,
 }
 
 

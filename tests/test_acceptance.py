@@ -63,3 +63,7 @@ def test_criterion_09_ors_maulik():
 
 def test_criterion_10_qt_symmetry():
     _run(10, "qt-symmetry", 10.0)
+
+
+def test_criterion_11_cells_vs_homology():
+    _run(11, "cells-vs-homology", 2.0)

@@ -105,6 +105,22 @@ class TestJsonOutputs:
         cells = json.loads(out)
         assert sorted(c["dimension"] for c in cells) == [0, 1]
 
+    @pytest.mark.parametrize("m,n,cells", [(4, 7, 30), (5, 6, 42), (5, 7, 66), (6, 7, 132)])
+    def test_jacobian_cells_past_the_assignment_counter(self, capsys, m, n, cells):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "curve", "jac", str(m), str(n), "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        dims = [c["dimension"] for c in json.loads(out)]
+        assert len(dims) == cells and max(dims) == (m - 1) * (n - 1) // 2
+
+    def test_hilb_series_past_the_assignment_counter(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "curve", "hilb", "5", "6", "--max-k", "30")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out.splitlines()[-1].startswith("k=30: 1 + t^2 + 2*t^4")
+
     def test_verify_json_idempotent(self, capsys):
         def stripped():
             code, out, _ = run(capsys, "verify", "hm-paper-tables", "--json")
@@ -159,6 +175,21 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert code == 2
         assert f"total length {200000 + int(m)}" in err
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            (("jac", "17", "18"), "modules of x^17 = y^18"),
+            (("hilb", "1", "2", "--max-k", "2000"), "colength <= 2000 of x^1 = y^2"),
+            (("hilb", "6", "7", "--max-k", "10000000000"), "x^6 = y^7"),
+        ],
+    )
+    def test_curve_over_module_budget_rejected_quickly(self, capsys, argv, what):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "curve", *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert what in err and "module budget" in err
 
     def test_fold_over_budget_rejected(self, capsys):
         word = torus_braid(10, 11).word_str()

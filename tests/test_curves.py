@@ -1,10 +1,17 @@
+import inspect
+import itertools
+import sys
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from math import gcd
 
+from torushom import curves
 from torushom.algebra import LaurentPoly, RatFunc, series_truncate
 from torushom.curves import (
+    CellRecord,
     GammaModule,
     HILB,
     JACOBIAN,
@@ -23,6 +30,96 @@ from torushom.curves import (
     rational_catalan,
     semigroup,
 )
+
+
+# -- the assignment counter, kept as the oracle for the gap formula -------------
+
+CELL_PRIMES = (2, 3, 5)
+_ASSIGNMENT_BUDGET = 10**6
+
+
+def _module_closes(mod: GammaModule, gens, assignment: dict, p: int) -> bool:
+    """Whether the span of the parametrized generators is closed with order
+    set exactly the module: build a triangular basis, reducing each product
+    by t^m, t^n; any leading exponent outside the module is a failure."""
+    m, n = mod.sem.m, mod.sem.n
+    span = mod.span
+    basis: dict[int, dict[int, int]] = {}
+
+    def reduce(vec: dict[int, int]) -> dict[int, int]:
+        while vec:
+            lead = min(vec)
+            hit = basis.get(lead)
+            if hit is None:
+                return vec
+            c = vec[lead]
+            for e, v in hit.items():
+                s = (vec.get(e, 0) - c * v) % p
+                if s:
+                    vec[e] = s
+                else:
+                    vec.pop(e, None)
+        return vec
+
+    def insert(vec: dict[int, int]) -> bool:
+        vec = reduce(vec)
+        if not vec:
+            return True
+        lead = min(vec)
+        if not mod.member(lead):
+            return False
+        inv = pow(vec[lead], -1, p)
+        basis[lead] = {e: (v * inv) % p for e, v in vec.items()}
+        pending.append(lead)
+        return True
+
+    pending: list[int] = []
+    for g in gens:
+        vec = {g: 1}
+        for h in mod.trailing_exponents(g):
+            c = assignment.get((g, h), 0) % p
+            if c:
+                vec[h] = c
+        if not insert(vec):
+            return False
+    while pending:
+        d = pending.pop()
+        for s in (m, n):
+            if d + s >= span:
+                continue
+            shifted = {e + s: c for e, c in basis[d].items() if e + s < span}
+            if not insert(shifted):
+                return False
+    return True
+
+
+def counted_dimension(cell: CellRecord, p_set=CELL_PRIMES) -> int:
+    """Certify the attracting cell of a fixed point as an affine space by
+    counting closed parameter assignments over each prime field, and return
+    its dimension."""
+    mod, gens, params = cell.module, cell.generators, cell.parameters
+    dims = []
+    for p in p_set:
+        if p ** len(params) > _ASSIGNMENT_BUDGET:
+            raise ValueError(
+                f"parameter space {p}^{len(params)} exceeds the counting budget"
+            )
+        count = 0
+        for values in itertools.product(range(p), repeat=len(params)):
+            assignment = dict(zip(params, values))
+            if _module_closes(mod, gens, assignment, p):
+                count += 1
+        d = next((e for e in range(len(params) + 1) if p**e == count), None)
+        if d is None:
+            raise ArithmeticError(
+                f"cell not affine as computed: count {count} over F_{p}"
+            )
+        dims.append(d)
+    if len(set(dims)) > 1:
+        raise ArithmeticError(
+            f"cell not affine as computed: dimensions {dims} disagree across primes"
+        )
+    return dims[0]
 
 
 coprime_pairs = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(
@@ -77,6 +174,10 @@ class TestCatalanCounts:
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             rational_catalan(2, 4)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            rational_catalan(1, -1)
 
     @given(coprime_pairs)
     def test_triple_equality(self, pair):
@@ -200,6 +301,75 @@ class TestCellDimensions:
         assert set(data["delta_bits"]) <= {"0", "1"}
 
 
+class TestAgainstCounter:
+    """The gap formula of ``cell_dimension`` against the assignment counter."""
+
+    # The counter shifts by both generators and reads no order of them, so
+    # each module is counted once and compared with the formula of both
+    # (m, n) and (n, m).  (4, 7) is left out: its sweep takes about 300 s.
+    @pytest.mark.parametrize(
+        "m,n",
+        [(m, n) for m in range(1, 5) for n in range(m + 1, 10 - m) if gcd(m, n) == 1]
+        + [(3, 7)],
+    )
+    def test_jacobian_modules_both_orders(self, m, n):
+        counted = {}
+        for cell in jacobian_cells(m, n):
+            counted[cell.module.bits] = counted_dimension(cell)
+            assert cell.dimension == counted[cell.module.bits], cell.module.bits_str()
+        assert {c.module.bits: c.dimension for c in jacobian_cells(n, m)} == counted
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)])
+    def test_hilb_ideals(self, m, n):
+        delta = semigroup(m, n).delta
+        for k in range(2 * delta + 3):
+            for mod in enumerate_hilb_ideals(m, n, k):
+                cell = cell_dimension(mod)
+                assert cell.dimension == counted_dimension(cell), (k, mod.bits_str())
+
+
+class TestModuleBudget:
+    def test_jacobian_boundary(self, monkeypatch):
+        # c(3, 4) = 5 modules in windows of conductor 6 + 4 = 10 bits
+        monkeypatch.setattr(curves, "MAX_MODULE_BITS", 50)
+        assert len(enumerate_jacobian_modules(3, 4)) == 5
+        monkeypatch.setattr(curves, "MAX_MODULE_BITS", 49)
+        with pytest.raises(ValueError, match=r"x\^3 = y\^4 .*module budget"):
+            enumerate_jacobian_modules(3, 4)
+
+    def test_hilb_boundary(self, monkeypatch):
+        # 4 levels of at most c(2, 3) = 2 ideals in windows of 2 + 3 + 3 bits
+        monkeypatch.setattr(curves, "MAX_MODULE_BITS", 64)
+        assert hilb_level_poincare(2, 3, 3) == {0: 1, 2: 1}
+        assert len(hilb_poincare_series(2, 3, 3).entries) == 6
+        monkeypatch.setattr(curves, "MAX_MODULE_BITS", 63)
+        for call in (hilb_poincare_series, enumerate_hilb_ideals, hilb_level_poincare):
+            with pytest.raises(ValueError, match="colength <= 3 .*module budget"):
+                call(2, 3, 3)
+
+    @pytest.mark.parametrize("m,n", [(2, 1999999), (10**8, 10**8 + 1)])
+    def test_refused_before_building(self, m, n):
+        # (2, 1999999) has a window just under the budget and c = 10^6, so
+        # its Catalan number is computed: by factorials of 2 * 10^6 that took
+        # 49 s.  (10^8, 10^8 + 1) is refused on its window alone.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="module budget"):
+            curves._admit(m, n)
+        assert time.perf_counter() - start < 2.0
+
+    def test_enumeration_depth_does_not_grow_with_delta(self):
+        # (2, 301) has delta = 150 gaps, each one level of the search; past
+        # Python's default limit of 1000 a recursive search raised
+        # RecursionError for admitted pairs such as (2, 1999).
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            modules = enumerate_jacobian_modules(2, 301)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(modules) == rational_catalan(2, 301) == 151
+
+
 class TestSeries:
     def test_cusp_series(self):
         expected = series_truncate(
@@ -230,6 +400,22 @@ class TestSeries:
 
     def test_node_kmax_zero(self):
         assert node_hilb(0).as_dict() == {(0, 0, 0): 1}
+
+    @pytest.mark.parametrize("m,n,kmax", [(2, 3, 12), (3, 4, 14), (5, 6, 24)])
+    def test_series_rows_are_levels(self, m, n, kmax):
+        rows = {}
+        for (k, td, _), c in hilb_poincare_series(m, n, kmax).entries:
+            rows.setdefault(k, {})[td] = c
+        assert [rows.get(k, {}) for k in range(kmax + 1)] == [
+            hilb_level_poincare(m, n, k) for k in range(kmax + 1)
+        ]
+
+    def test_series_grows_levels_once(self):
+        # rebuilding each level from colength 0 took 3.8 s here: O(kmax^2) levels
+        start = time.perf_counter()
+        series = hilb_poincare_series(2, 3, 300)
+        assert time.perf_counter() - start < 1.0
+        assert sum(c for (k, _, _), c in series.entries if k == 300) == 2
 
     @pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (2, 7), (3, 4)])
     def test_stabilization(self, m, n):
