@@ -7,7 +7,6 @@ Hilbert-scheme comparisons, so the outputs can be eyeballed side by side.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from torushom import (
     euler_a0,
@@ -26,23 +25,20 @@ from torushom.braid import identity_permutation
 from torushom.curves import euler_compare, hilb_poincare_series, node_hilb
 
 
-@dataclass
-class Config:
-    max_two_strand: int = 7   # largest T(2, n) to print
-    max_sigma_power: int = 6  # largest X(sigma^k) count
-    ors_kmax: int = 10
-    knots: tuple = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5))
-    curves: tuple = ((2, 3), (2, 5), (3, 4))
+MAX_TWO_STRAND = 7   # largest T(2, n) to print
+MAX_SIGMA_POWER = 6  # largest X(sigma^k) count
+KNOTS = ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5))
+CURVES = ((2, 3), (2, 5), (3, 4))
 
 
-def homology_tables(cfg: Config) -> None:
+def homology_tables() -> None:
     print("== torus link Poincare series ==")
-    for n in range(0, cfg.max_two_strand + 1):
+    for n in range(0, MAX_TWO_STRAND + 1):
         print(f"HHH(T(2,{n}))      = {render_ratfunc(hhh_torus(2, n))}")
         print(f"HHH^0(T(2,{n}))    = {render_ratfunc(hhh_a0(2, n))}")
     print()
     print("== reduced knot data ==")
-    for m, n in cfg.knots:
+    for m, n in KNOTS:
         poly = reduced_knot_poly(m, n)
         census = term_census_a(m, n)
         total = sum(c for _, c in census)
@@ -51,28 +47,28 @@ def homology_tables(cfg: Config) -> None:
               f"euler {render_ratfunc(euler_a0(m, n))}")
 
 
-def braid_variety_tables(cfg: Config) -> None:
+def braid_variety_tables() -> None:
     print("== braid variety point counts ==")
     e = identity_permutation(2)
-    for k in range(1, cfg.max_sigma_power + 1):
+    for k in range(1, MAX_SIGMA_POWER + 1):
         count = point_count(torus_braid(2, k), e)
         print(f"#X(sigma^{k}) = {count.render()}")
 
 
-def curve_tables(cfg: Config) -> None:
+def curve_tables(ors_kmax: int) -> None:
     print("== compactified Jacobian cells ==")
-    for m, n in cfg.curves:
+    for m, n in CURVES:
         cells = jacobian_cells(m, n)
         dims = sorted((c.dimension for c in cells), reverse=True)
         print(f"Jac({m},{n}): {len(cells)} cells (catalan "
               f"{rational_catalan(m, n)}), dimensions {dims}")
     print()
     print("== Hilbert scheme series and comparisons ==")
-    for m, n in cfg.curves:
-        table = hilb_poincare_series(m, n, cfg.ors_kmax)
+    for m, n in CURVES:
+        table = hilb_poincare_series(m, n, ors_kmax)
         print(f"hilb({m},{n}) entries: {dict(table.entries)}")
-        print(ors_compare(m, n, cfg.ors_kmax).render())
-        ok, ratio = euler_compare(m, n, cfg.ors_kmax)
+        print(ors_compare(m, n, ors_kmax).render())
+        ok, ratio = euler_compare(m, n, ors_kmax)
         print(f"euler({m},{n}): {'match' if ok else 'MISMATCH'} ratio {ratio}")
     print(f"node series: {dict(node_hilb(6).entries)}")
 
@@ -81,12 +77,11 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--ors-kmax", type=int, default=10)
     args = parser.parse_args()
-    cfg = Config(ors_kmax=args.ors_kmax)
-    homology_tables(cfg)
+    homology_tables()
     print()
-    braid_variety_tables(cfg)
+    braid_variety_tables()
     print()
-    curve_tables(cfg)
+    curve_tables(args.ors_kmax)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from .algebra import (
     GradedTable,
     LaurentPoly,
     RatFunc,
-    lp_substitute_monomial,
-    monomial_ratio,
     qta_degree_from_QTA,
     ratfunc_normalize,
     series_truncate,

@@ -14,8 +14,6 @@ from typing import Mapping, Optional
 
 Exponent = tuple[int, int, int]  # (e_a, e_q, e_t); e_a >= 0 always
 
-_VAR_SLOT = {"a": 0, "q": 1, "t": 2}
-
 
 class LaurentPoly:
     """Laurent polynomial in q, t and ordinary polynomial in a, over Z.
@@ -66,14 +64,8 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def __len__(self) -> int:
         return len(self._terms)
-
-    def coeff(self, ea: int, eq: int, et: int) -> int:
-        return self._terms.get((ea, eq, et), 0)
 
     def min_t_degree(self) -> int:
         if not self._terms:
@@ -172,60 +164,6 @@ T = LaurentPoly.monomial(1, et=1)
 ONE_MINUS_Q = ONE - Q
 
 
-def lp_substitute_monomial(
-    p: LaurentPoly, var: str, image: LaurentPoly | None
-) -> LaurentPoly:
-    """Replace every occurrence of var**k by image**k, exactly.
-
-    ``image`` must be a single monomial, or None/zero to kill the variable
-    (only meaningful for a, whose exponents are nonnegative).
-    """
-    slot = _VAR_SLOT[var]
-    if image is None or image.is_zero():
-        if slot != 0:
-            raise ValueError("substituting 0 for an invertible variable")
-        return LaurentPoly(
-            {exp: c for exp, c in p._terms.items() if exp[0] == 0}
-        )
-    if not image.is_monomial():
-        raise ValueError("substitution image must be a monomial")
-    (ia, iq, it), icoef = next(iter(image._terms.items()))
-    out: dict[Exponent, int] = {}
-    for (ea, eq, et), c in p._terms.items():
-        k = (ea, eq, et)[slot]
-        if icoef in (1, -1):
-            scale = icoef if k % 2 else 1
-        elif k >= 0:
-            scale = icoef**k
-        else:
-            raise ValueError("negative exponent of a non-unit coefficient")
-        rest = [ea, eq, et]
-        rest[slot] = 0
-        exp = (rest[0] + k * ia, rest[1] + k * iq, rest[2] + k * it)
-        if exp[0] < 0:
-            raise ValueError("substitution produced a negative a-exponent")
-        s = out.get(exp, 0) + c * scale
-        if s:
-            out[exp] = s
-        else:
-            out.pop(exp, None)
-    return LaurentPoly(out)
-
-
-def monomial_ratio(p1: LaurentPoly, p2: LaurentPoly) -> Optional[LaurentPoly]:
-    """The unique monomial m with p2 == m * p1, or None."""
-    if p1.is_zero() or p2.is_zero():
-        raise ValueError("monomial_ratio requires nonzero polynomials")
-    if len(p1) != len(p2):
-        return None
-    (a1, q1, t1), c1 = p1.items()[0]
-    (a2, q2, t2), c2 = p2.items()[0]
-    if c2 % c1 != 0 or a2 - a1 < 0:
-        return None
-    m = LaurentPoly({(a2 - a1, q2 - q1, t2 - t1): c2 // c1})
-    return m if m * p1 == p2 else None
-
-
 def divide_by_one_minus_q(p: LaurentPoly) -> Optional[LaurentPoly]:
     """Exact quotient p / (1 - q), or None if (1 - q) does not divide p.
 
@@ -320,13 +258,13 @@ class RatFunc:
             return NotImplemented
         return ratfunc_normalize(self.num * other.num, self.denom_pow + other.denom_pow)
 
-    def substitute(self, var: str, image: LaurentPoly | None) -> "RatFunc":
-        """Monomial substitution on the numerator; q itself stays q."""
-        if var == "q" and image != Q:
-            raise ValueError("cannot substitute q inside a (1-q)-denominator")
-        return ratfunc_normalize(
-            lp_substitute_monomial(self.num, var, image), self.denom_pow
-        )
+    def regrade_t(self, eq: int, et: int) -> "RatFunc":
+        """Replace t by q^eq * t^et; a and q, and so the denominator, stay."""
+        out: dict[Exponent, int] = {}
+        for (ea, q, t), c in self.num._terms.items():
+            exp = (ea, q + t * eq, t * et)
+            out[exp] = out.get(exp, 0) + c
+        return ratfunc_normalize(LaurentPoly(out), self.denom_pow)
 
     def __repr__(self) -> str:
         return f"RatFunc({render_ratfunc(self)!r})"

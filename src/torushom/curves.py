@@ -14,7 +14,7 @@ from functools import cached_property
 from math import comb, gcd
 from typing import Optional
 
-from .algebra import GradedTable, LaurentPoly, series_truncate, table_monomial_ratio
+from .algebra import GradedTable, series_truncate, table_monomial_ratio
 
 JACOBIAN = "jacobian"
 HILB = "hilb"
@@ -25,6 +25,12 @@ HILB = "hilb"
 # and almost no memory, so this bounds one command near 6 s and 130 MB;
 # (10,11), with 1.7 million bits, takes 2.7 s at 90 MB.
 MAX_MODULE_BITS = 4_000_000
+
+# Admission budget for the node series, in levels (colengths 0..kmax).  Each
+# level holds two table entries; `curve node --max-k 99999 --json` measured
+# 1.1 s at 118 MB peak RSS on 2 cores, so this too bounds one command near
+# 130 MB.
+MAX_NODE_LEVELS = 100_000
 
 
 @dataclass(frozen=True)
@@ -356,6 +362,11 @@ def node_hilb(kmax: int) -> GradedTable:
     a chain of k-1 projective lines in size k >= 2."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
+    if kmax >= MAX_NODE_LEVELS:
+        raise ValueError(
+            f"the node series up to colength {kmax} needs more than "
+            f"{MAX_NODE_LEVELS} levels (the level budget)"
+        )
     entries: dict[tuple[int, int, int], int] = {}
     for k in range(kmax + 1):
         entries[(k, 0, 0)] = 1
@@ -365,9 +376,9 @@ def node_hilb(kmax: int) -> GradedTable:
 
 
 # Documented regrading between the Hilbert-scheme series and the a=0 homology
-# series: t -> 1/(q t^2), with any leftover normalization reported as an
-# overall monomial ratio.
-ORS_T_IMAGE = LaurentPoly.monomial(1, eq=-1, et=-2)
+# series: t -> 1/(q t^2), given as the exponents (e_q, e_t) of the image, with
+# any leftover normalization reported as an overall monomial ratio.
+ORS_T_IMAGE = (-1, -2)
 
 
 @dataclass(frozen=True)
@@ -396,7 +407,7 @@ def ors_compare(m: int, n: int, kmax: int) -> OrsReport:
     from .recursion import hhh_a0
 
     hilb = hilb_poincare_series(m, n, kmax)
-    regraded = hhh_a0(m, n).substitute("t", ORS_T_IMAGE)
+    regraded = hhh_a0(m, n).regrade_t(*ORS_T_IMAGE)
     homology = series_truncate(regraded, kmax)
     ratio = table_monomial_ratio(hilb, homology)
     return OrsReport(m, n, kmax, ratio is not None, ratio, hilb, homology)

@@ -15,6 +15,11 @@ become offset changes, slot shifts, shift-subtracts along q (multiplying by
 1 - q) and cumulative sums along q (dividing by it).  Arrays are int64 while
 a tracked bound on their coefficients stays below ``INT64_HEADROOM``, and
 Python ints past it; the arithmetic is exact either way.
+
+Setting a = 0 is a ring map that commutes with the five rules, since a
+enters only through the base (1 + a)^n and the factor t^ell + a.  The a = 0
+queries therefore evaluate in the quotient by a: the base is its a^0 slice
+and t^ell + a acts as t^ell, an offset change.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from .algebra import (
     Q,
     RatFunc,
     divide_by_one_plus_a,
-    lp_substitute_monomial,
 )
 
 # Admission budget of one evaluation, about 1 GB of memory in all.  The plan
@@ -85,8 +89,10 @@ def _room(x: _Num, factor: int):
     return x.arr
 
 
-def _base(n: int) -> _Num:
-    """(1 + a)^n / (1 - q)^n."""
+def _base(n: int, a0: bool = False) -> _Num:
+    """(1 + a)^n / (1 - q)^n, or its a^0 slice 1 / (1 - q)^n."""
+    if a0:
+        return _Num(np.ones((1, 1, 1), dtype=np.int64), 0, 0, 0, n, 1)
     coeffs = [1]
     for k in range(n):  # math.comb per entry would cost a factor of n more
         coeffs.append(coeffs[-1] * (n - k) // (k + 1))
@@ -95,9 +101,12 @@ def _base(n: int) -> _Num:
     return _Num(np.array(coeffs, dtype=dtype).reshape(n + 1, 1, 1), 0, 0, 0, n, bound)
 
 
-def _times_t_plus_a(x: _Num, ell: int) -> _Num:
+def _times_t_plus_a(x: _Num, ell: int, a0: bool = False) -> _Num:
     """(t^ell + a) * x.  A product of trimmed polynomials is trimmed, and
-    (1 - q) does not divide t^ell + a, so the result is canonical."""
+    (1 - q) does not divide t^ell + a, so the result is canonical.  In the
+    quotient by a it is t^ell * x, which shares x's array."""
+    if a0:
+        return _Num(x.arr, x.oa, x.oq, x.ot + ell, x.d, x.bound)
     arr = _room(x, 2)
     na, nq, nt = arr.shape
     out = np.zeros((na + 1, nq, nt + abs(ell)), dtype=arr.dtype)
@@ -279,7 +288,8 @@ def _base_bytes(n: int) -> int:
     return (n + 1) * (8 if n < 62 else _int_bytes(n))
 
 
-def _evaluate(v: str, w: str) -> _Num:
+def _evaluate(v: str, w: str, a0: bool = False) -> _Num:
+    """The series of (v, w), or with ``a0`` its a = 0 part."""
     steps, order, consumers = _plan(v, w)
     values: list[_Num | None] = [None] * len(steps)
     held = [0] * len(steps)
@@ -288,11 +298,11 @@ def _evaluate(v: str, w: str) -> _Num:
     for i in order:
         rule, arg, kids = steps[i]
         if rule == _BASE:
-            if live + _base_bytes(arg) > MAX_LIVE_BYTES:
+            if not a0 and live + _base_bytes(arg) > MAX_LIVE_BYTES:
                 raise _refusal(v, w, memory)
-            res = _base(arg)
+            res = _base(arg, a0)
         elif rule == _MUL:
-            res = _times_t_plus_a(values[kids[0]], arg)
+            res = _times_t_plus_a(values[kids[0]], arg, a0)
         elif rule == _PASS:
             res = values[kids[0]]
         elif rule == _DIV:
@@ -337,25 +347,30 @@ def pair_series(v: str, w: str) -> RatFunc:
     return _to_ratfunc(_evaluate(v, w))
 
 
-def hhh_torus(m: int, n: int) -> RatFunc:
-    """Graded rank of the triply graded homology of T(m, n)."""
+def _torus_pair(m: int, n: int) -> tuple[str, str]:
     if m < 0 or n < 0:
         raise ValueError("torus link indices must be >= 0")
-    return pair_series("0" * m, "0" * n)
+    return "0" * m, "0" * n
+
+
+def hhh_torus(m: int, n: int) -> RatFunc:
+    """Graded rank of the triply graded homology of T(m, n)."""
+    return pair_series(*_torus_pair(m, n))
 
 
 def hhh_a0(m: int, n: int) -> RatFunc:
-    """The a=0 (Hochschild degree zero) specialization."""
-    return hhh_torus(m, n).substitute("a", None)
+    """The a=0 (Hochschild degree zero) specialization, evaluated in the
+    quotient by a."""
+    return _to_ratfunc(_evaluate(*_torus_pair(m, n), a0=True))
 
 
 def euler_a0(m: int, n: int) -> RatFunc:
     """Euler-characteristic specialization: a -> 0 then t -> 1/q."""
-    return hhh_a0(m, n).substitute("t", LaurentPoly.monomial(1, eq=-1))
+    return hhh_a0(m, n).regrade_t(-1, 0)
 
 
-def _knot_numerator(m: int, n: int) -> LaurentPoly:
-    r = hhh_torus(m, n)
+def _knot_numerator(r: RatFunc, m: int, n: int) -> LaurentPoly:
+    """(1-q) * r for the series r of T(m, n)."""
     if r.denom_pow > 1:
         raise ValueError(
             f"residual denominator (1-q)^{r.denom_pow - 1}: T({m},{n}) is not a knot"
@@ -368,7 +383,7 @@ def reduced_numerator(m: int, n: int) -> LaurentPoly:
     (1-q) series factor and the unknot factor (1+a)."""
     if gcd(m, n) != 1:
         raise ValueError(f"T({m},{n}) is not a knot: gcd={gcd(m, n)}")
-    reduced = divide_by_one_plus_a(_knot_numerator(m, n))
+    reduced = divide_by_one_plus_a(_knot_numerator(hhh_torus(m, n), m, n))
     if reduced is None:
         raise ArithmeticError(f"(1+a) does not divide the T({m},{n}) numerator")
     return reduced
@@ -385,5 +400,5 @@ def reduced_knot_poly(m: int, n: int) -> LaurentPoly:
         raise ValueError(f"T({m},{n}) is not a knot: gcd={gcd(m, n)}")
     if m < 1 or n < 1:
         raise ValueError("reduced numerator needs m, n >= 1")
-    num = lp_substitute_monomial(_knot_numerator(m, n), "a", None)
+    num = _knot_numerator(hhh_a0(m, n), m, n)
     return num * LaurentPoly.monomial(1, et=-num.min_t_degree())

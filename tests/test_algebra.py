@@ -14,8 +14,6 @@ from torushom.algebra import (
     T,
     divide_by_one_minus_q,
     divide_by_one_plus_a,
-    lp_substitute_monomial,
-    monomial_ratio,
     qta_degree_from_QTA,
     ratfunc_from_json,
     ratfunc_normalize,
@@ -36,9 +34,6 @@ exponents = st.tuples(
     st.integers(0, 3), st.integers(-4, 4), st.integers(-4, 4)
 )
 polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=6).map(LaurentPoly)
-monomials = st.tuples(exponents, st.sampled_from([1, -1, 2, -3])).map(
-    lambda ec: LaurentPoly({ec[0]: ec[1]})
-)
 
 
 class TestLaurentArithmetic:
@@ -71,22 +66,42 @@ class TestLaurentArithmetic:
 
 
 class TestSubstitution:
-    def test_t_to_q_inverse(self):
-        p = ONE + mono(1, eq=1, et=-1)
-        assert lp_substitute_monomial(p, "t", mono(1, eq=-1)) == ONE + mono(1, eq=2)
+    """RatFunc.regrade_t: t -> q^eq t^et, the one substitution kept."""
 
-    def test_a_to_zero(self):
-        p = (ONE + A) * (T + A)
-        assert lp_substitute_monomial(p, "a", None) == T
+    def test_t_to_q_inverse(self):
+        r = RatFunc.of(ONE + mono(1, eq=1, et=-1), 1)
+        assert r.regrade_t(-1, 0) == RatFunc.of(ONE + mono(1, eq=2), 1)
 
     def test_identity(self):
-        p = (ONE + A) * (T + Q)
-        assert lp_substitute_monomial(p, "q", Q) == p
+        r = RatFunc.of((ONE + A) * (T + Q), 2)
+        assert r.regrade_t(0, 1) == r
 
-    def test_invariant_violation(self):
-        with pytest.raises(ValueError):
-            lp_substitute_monomial(ONE + Q, "q", A)  # fine
-            lp_substitute_monomial(mono(1, eq=-1), "q", A)
+    def test_ors_image_keeps_a(self):
+        # t -> q^-1 t^-2 on (1 + a)(t + a t^-1)
+        r = RatFunc.of((ONE + A) * (T + mono(1, ea=1, et=-1)), 0)
+        expected = (ONE + A) * (mono(1, eq=-1, et=-2) + mono(1, ea=1, eq=1, et=2))
+        assert r.regrade_t(-1, -2) == RatFunc.of(expected, 0)
+
+    def test_colliding_terms_add(self):
+        # q t and q^2 t^2 both land on q^0 under t -> q^-1, as do 1 and -1.
+        r = RatFunc.of(Q * T + mono(3, eq=2, et=2) + ONE, 0)
+        assert r.regrade_t(-1, 0) == RatFunc.of(mono(5), 0)
+
+    def test_cancellation_renormalises(self):
+        # (1 - t^-1) / (1 - q) -> (1 - q) / (1 - q) = 1
+        r = RatFunc.of(ONE - mono(1, et=-1), 1)
+        assert r.regrade_t(-1, 0) == RatFunc.one()
+
+    @given(polys, st.integers(0, 3), st.integers(-2, 2), st.integers(-2, 2))
+    def test_matches_evaluation(self, num, d, eq, et):
+        # The regrade is a ring map: compare with composing on the numerator.
+        r = RatFunc.of(num, d)
+        image = mono(1, eq=eq, et=et)
+        direct = LaurentPoly.zero()
+        for (ea, q, t), c in num.items():
+            power = image ** t if t >= 0 else mono(1, eq=-eq, et=-et) ** -t
+            direct = direct + mono(c, ea=ea, eq=q) * power
+        assert r.regrade_t(eq, et) == RatFunc.of(direct, d)
 
 
 class TestRatFunc:
@@ -141,23 +156,6 @@ class TestRatFunc:
         assert divide_by_one_minus_q(ONE + Q) is None
         assert divide_by_one_plus_a((ONE + A) * (T + Q)) == T + Q
         assert divide_by_one_plus_a(ONE + A + A * A) is None
-
-
-class TestMonomialRatio:
-    def test_shift(self):
-        p = Q + T
-        m = mono(1, eq=3, et=-1)
-        assert monomial_ratio(p, m * p) == m
-
-    def test_identity(self):
-        assert monomial_ratio(Q + T, Q + T) == ONE
-
-    def test_incompatible(self):
-        assert monomial_ratio(Q + T, Q + T * T) is None
-
-    @given(polys.filter(lambda p: not p.is_zero()), monomials)
-    def test_roundtrip(self, p, m):
-        assert monomial_ratio(p, m * p) == m
 
 
 class TestSeriesTruncate:

@@ -176,6 +176,27 @@ class TestExitCodes:
         assert code == 2
         assert f"total length {200000 + int(m)}" in err
 
+    def test_a0_answered_where_the_full_series_is_refused(self, capsys):
+        code, out, _ = run(capsys, "hhh", "torus", "15", "15", "--a0", "--json")
+        assert code == 0
+        assert ratfunc_from_json(out).denom_pow == 15
+        code, _, err = run(capsys, "hhh", "torus", "15", "15")
+        assert code == 2
+        assert "total length 30" in err and "memory budget" in err
+
+    @pytest.mark.parametrize("max_k", ["3000000", "10000000000"])
+    def test_node_over_level_budget_rejected_quickly(self, capsys, max_k):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "curve", "node", "--max-k", max_k)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"colength {max_k}" in err and "level budget" in err
+
+    def test_node_within_level_budget(self, capsys):
+        code, out, _ = run(capsys, "curve", "node", "--max-k", "10000")
+        assert code == 0
+        assert out.splitlines()[-1] == "q^10000 t^2: 9999"
+
     @pytest.mark.parametrize(
         "argv,what",
         [

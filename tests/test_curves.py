@@ -347,6 +347,13 @@ class TestModuleBudget:
             with pytest.raises(ValueError, match="colength <= 3 .*module budget"):
                 call(2, 3, 3)
 
+    def test_node_boundary(self, monkeypatch):
+        # colengths 0..4 are 5 levels
+        monkeypatch.setattr(curves, "MAX_NODE_LEVELS", 5)
+        assert curves.node_hilb(4).as_dict()[(4, 2, 0)] == 3
+        with pytest.raises(ValueError, match="colength 5 needs more than 5 levels"):
+            curves.node_hilb(5)
+
     @pytest.mark.parametrize("m,n", [(2, 1999999), (10**8, 10**8 + 1)])
     def test_refused_before_building(self, m, n):
         # (2, 1999999) has a window just under the budget and c = 10^6, so

@@ -18,6 +18,7 @@ from torushom.algebra import (
     series_truncate,
 )
 from torushom import recursion
+from torushom.curves import ORS_T_IMAGE, ors_compare
 from torushom.recursion import (
     euler_a0,
     hhh_a0,
@@ -327,3 +328,50 @@ class TestSpecializations:
         p = reduced_knot_poly(m, n)
         assert p.swap_qt() == p
         assert sum(p.evaluate_qt1().values()) == dict(term_census_a(m, n))[0]
+
+
+def a0_part(r: RatFunc) -> RatFunc:
+    """The full series with its a > 0 terms dropped, renormalised: the oracle
+    for every evaluation in the quotient by a."""
+    return RatFunc.of(LaurentPoly({e: c for e, c in r.num.items() if e[0] == 0}), r.denom_pow)
+
+
+class TestAZeroQuotient:
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in range(0, 15) for n in range(0, 15) if m + n <= 14] + [(10, 10)]
+    )
+    def test_matches_full_series(self, m, n):
+        assert hhh_a0(m, n) == a0_part(hhh_torus(m, n))
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (2, 5), (4, 6), (5, 7), (6, 6)])
+    def test_euler_matches_full_series(self, m, n):
+        assert euler_a0(m, n) == a0_part(hhh_torus(m, n)).regrade_t(-1, 0)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (3, 4), (5, 7), (8, 9), (9, 8)])
+    def test_reduced_matches_full_series(self, m, n):
+        num = a0_part(hhh_torus(m, n)).num
+        assert reduced_knot_poly(m, n) == num * mono(1, et=-num.min_t_degree())
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 4), (2, 5), (3, 5), (4, 5)])
+    def test_ors_matches_full_series(self, m, n):
+        regraded = a0_part(hhh_torus(m, n)).regrade_t(*ORS_T_IMAGE)
+        assert ors_compare(m, n, 8).homology_table == series_truncate(regraded, 8)
+
+    def test_pinned_digest_a0(self):
+        r = hhh_a0(14, 14)
+        digest = "3200725395ebeb499552c85dff73634579083a1f8ed0c18a55a3a0e5f6dc4726"
+        assert (r.denom_pow, len(r.num), poly_digest(r.num)) == (14, 4245, digest)
+
+    def test_pinned_digest_reduced(self):
+        p = reduced_knot_poly(12, 13)
+        digest = "bc4a218b0fa06895ee41700c1657258fb6336534e51a8d2ec0e8f382791763e2"
+        assert (len(p), poly_digest(p)) == (1608, digest)
+
+    def test_quotient_multiply_is_an_offset(self):
+        x = recursion._base(4, a0=True)
+        y = recursion._times_t_plus_a(x, 3, a0=True)
+        assert y.arr is x.arr and (y.oa, y.oq, y.ot, y.d) == (0, 0, 3, 4)
+
+    def test_quotient_base_has_no_a(self):
+        x = recursion._base(200, a0=True)
+        assert (x.arr.shape, x.arr.dtype, x.d) == ((1, 1, 1), np.int64, 200)
