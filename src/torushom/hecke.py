@@ -21,7 +21,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -297,7 +297,8 @@ def check_braid_matrix_relation(i: int, n: int) -> bool:
 # -- brute force over a prime field ------------------------------------------
 
 BRUTE_BUDGET = 10**9
-_CHUNK_BITS = 16
+# Bytes of matrix entries in one brute-force batch, whatever the strand count.
+_BATCH_BYTES = 1 << 20
 
 
 def worker_count(threads: int) -> int:
@@ -317,78 +318,90 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _count_chunk(
-    prefix: np.ndarray,
-    suffix_indices: Sequence[int],
-    z_patterns: list[np.ndarray],
-    p: int,
-    targets_cols: list[np.ndarray],
-    tril: tuple[np.ndarray, np.ndarray],
-) -> list[int]:
-    size = len(z_patterns[0]) if z_patterns else 1
-    arr = np.broadcast_to(prefix, (size,) + prefix.shape).copy()
-    for idx, zs in zip(suffix_indices, z_patterns):
-        i = idx - 1
-        old_i = arr[:, :, i].copy()
-        arr[:, :, i] = arr[:, :, i + 1]
-        arr[:, :, i + 1] = (old_i + zs[:, None] * arr[:, :, i + 1]) % p
-    rows, cols = tril
-    counts = []
-    for col_order in targets_cols:
-        below = arr[:, :, col_order][:, rows, cols]
-        counts.append(int((below % p == 0).all(axis=1).sum()))
-    return counts
+def _entry_dtype(p: int) -> np.dtype:
+    """Narrowest signed integer type holding a + z*b for a, b, z in [0, p)."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if (p - 1) + (p - 1) ** 2 <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise ValueError(f"p = {p} is too large for brute force")
+
+
+def _products(
+    batch: np.ndarray, indices: Sequence[int], zs: np.ndarray, p: int, limit: int
+) -> Iterator[np.ndarray]:
+    """Yield the products M * B_i1(z1) ... B_ik(zk) mod p for every matrix M
+    of the entry-major batch (n, n, B) and every z in F_p^k.
+
+    Each letter multiplies the batch size by the number of z values it takes,
+    so the cost is the sum over letters of the batch sizes.  Where p times
+    the batch would pass ``limit`` matrices, the z values of that letter are
+    split into runs, so that no yielded batch holds more than
+    max(limit, B) matrices.
+    """
+    if not indices:
+        yield batch
+        return
+    n, _, size = batch.shape
+    i = indices[0] - 1
+    step = max(1, limit // size)
+    for lo in range(0, p, step):
+        z = zs[lo : lo + step]
+        out = np.empty((n, n, len(z), size), batch.dtype)
+        out[:, :i] = batch[:, :i, None]
+        out[:, i + 2 :] = batch[:, i + 2 :, None]
+        # Right multiplication by B_i(z): column i takes column i + 1, and
+        # column i + 1 becomes column i plus z times column i + 1.
+        out[:, i] = batch[:, i + 1, None]
+        col = out[:, i + 1]
+        np.multiply(z, batch[:, i + 1, None], out=col)
+        col += batch[:, i, None]
+        col %= p
+        yield from _products(out.reshape(n, n, -1), indices[1:], zs, p, limit)
 
 
 def _enumerate_counts(
     b: BraidWord, targets: Sequence[Permutation], p: int, threads: int = 1
 ) -> list[int]:
     n = b.strands
-    r = len(b.letters)
     indices = [idx for idx, _ in b.letters]
-    # Split the word into a sequentially-enumerated prefix and a vectorized
-    # suffix small enough to hold in memory.
-    suffix_len = r
-    while p**suffix_len > (1 << _CHUNK_BITS) and suffix_len > 0:
-        suffix_len -= 1
-    prefix_len = r - suffix_len
-    size = p**suffix_len
-    z_patterns = [
-        (np.arange(size, dtype=np.int64) // p ** (suffix_len - 1 - j)) % p
-        for j in range(suffix_len)
-    ]
-    targets_cols = [np.array([w - 1 for w in t], dtype=np.intp) for t in targets]
-    tril = np.tril_indices(n, -1)
+    dtype = _entry_dtype(p)
+    zs = np.arange(p, dtype=dtype)[:, None]
+    limit = max(1, _BATCH_BYTES // (n * n * dtype.itemsize))
+    # The longest suffix whose p^s tuples fit in one batch is grown inside
+    # each work item; the prefix products before it come in runs of
+    # per_item matrices, so that an item never holds more than limit.
+    suffix = 0
+    while suffix < len(indices) and p ** (suffix + 1) <= limit:
+        suffix += 1
+    split = len(indices) - suffix
+    per_item = max(1, limit // p**suffix)
+    eye = np.eye(n, dtype=dtype)[:, :, None]
+    prefixes = _products(eye, indices[:split], zs, p, per_item)
+    # P_w puts column w_c - 1 of M in column c, so B_b(z) P_w is upper
+    # triangular when M[r, w_c - 1] = 0 for every r > c.
+    below = [[(r, w[c] - 1) for c in range(n) for r in range(c + 1, n)] for w in targets]
 
-    def prefix_products():
-        base = np.eye(n, dtype=np.int64)
-        if prefix_len == 0:
-            yield base
-            return
-        for code in range(p**prefix_len):
-            m = base.copy()
-            rem = code
-            digits = []
-            for _ in range(prefix_len):
-                digits.append(rem % p)
-                rem //= p
-            digits.reverse()
-            for idx, z in zip(indices[:prefix_len], digits):
-                i = idx - 1
-                old_i = m[:, i].copy()
-                m[:, i] = m[:, i + 1]
-                m[:, i + 1] = (old_i + z * m[:, i + 1]) % p
-            yield m
+    def work(prefix: np.ndarray) -> list[int]:
+        counts = [0] * len(targets)
+        for batch in _products(prefix, indices[split:], zs, p, limit):
+            for k, entries in enumerate(below):
+                upper = np.ones(batch.shape[2], dtype=bool)
+                for r, c in entries:
+                    upper &= batch[r, c] == 0
+                counts[k] += int(np.count_nonzero(upper))
+        return counts
 
-    work = lambda m: _count_chunk(
-        m, indices[prefix_len:], z_patterns, p, targets_cols, tril
-    )
-    workers = worker_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(work, prefix_products()))
+    # A word that fits in one batch runs without a pool.
+    workers = min(worker_count(threads), -(-(p**split) // per_item))
+    if workers == 1:
+        partials = [work(prefix) for prefix in prefixes]
     else:
-        partials = [work(m) for m in prefix_products()]
+        # Hand the pool one prefix run per worker at a time, so that the
+        # prefix products are never all held at once.
+        partials = []
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            while wave := list(itertools.islice(prefixes, workers)):
+                partials.extend(pool.map(work, wave))
     return [sum(part[k] for part in partials) for k in range(len(targets))]
 
 

@@ -210,8 +210,14 @@ def _step(v: str, w: str):
     return _SUM, v.count("1"), (ones, ("0" + v[:-1], "0" + w[:-1]))
 
 
-def _refusal(v: str, w: str, need: str) -> ValueError:
-    return ValueError(f"pair of total length {len(v) + len(w)} needs more than {need}")
+def _refusal(length: int, need: str) -> ValueError:
+    return ValueError(f"pair of total length {length} needs more than {need}")
+
+
+def _chars_refusal(length: int) -> ValueError:
+    return _refusal(
+        length, f"{MAX_PLAN_CHARS} characters of recursion states (the admission budget)"
+    )
 
 
 def _plan(v: str, w: str):
@@ -235,12 +241,10 @@ def _plan(v: str, w: str):
                 pairs.append(kid)
                 chars += len(kid[0]) + len(kid[1])
                 if j >= MAX_STATES:
-                    raise _refusal(v, w, f"{MAX_STATES} recursion states (the admission budget)")
+                    need = f"{MAX_STATES} recursion states (the admission budget)"
+                    raise _refusal(len(v) + len(w), need)
                 if chars > MAX_PLAN_CHARS:
-                    raise _refusal(
-                        v, w, f"{MAX_PLAN_CHARS} characters of recursion states "
-                        "(the admission budget)"
-                    )
+                    raise _chars_refusal(len(v) + len(w))
             kid_ids.append(j)
         steps.append((rule, arg, tuple(kid_ids)))
     del ids, pairs  # the strings are not needed past this point
@@ -299,7 +303,7 @@ def _evaluate(v: str, w: str, a0: bool = False) -> _Num:
         rule, arg, kids = steps[i]
         if rule == _BASE:
             if not a0 and live + _base_bytes(arg) > MAX_LIVE_BYTES:
-                raise _refusal(v, w, memory)
+                raise _refusal(len(v) + len(w), memory)
             res = _base(arg, a0)
         elif rule == _MUL:
             res = _times_t_plus_a(values[kids[0]], arg, a0)
@@ -314,7 +318,7 @@ def _evaluate(v: str, w: str, a0: bool = False) -> _Num:
         held[i] = _nbytes(res)
         live += held[i]
         if live > MAX_LIVE_BYTES:
-            raise _refusal(v, w, memory)
+            raise _refusal(len(v) + len(w), memory)
         for j in kids:
             consumers[j] -= 1
             if not consumers[j]:
@@ -350,6 +354,9 @@ def pair_series(v: str, w: str) -> RatFunc:
 def _torus_pair(m: int, n: int) -> tuple[str, str]:
     if m < 0 or n < 0:
         raise ValueError("torus link indices must be >= 0")
+    # The root pair is refused before its strings are built.
+    if m + n > MAX_PLAN_CHARS:
+        raise _chars_refusal(m + n)
     return "0" * m, "0" * n
 
 

@@ -176,6 +176,15 @@ class TestExitCodes:
         assert code == 2
         assert f"total length {200000 + int(m)}" in err
 
+    @pytest.mark.parametrize("flag", [[], ["--a0"]])
+    def test_huge_torus_root_rejected_quickly(self, capsys, flag):
+        # The root strings alone would take 10 GB.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "hhh", "torus", "0", "10000000000", *flag)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "total length 10000000000" in err and "admission budget" in err
+
     def test_a0_answered_where_the_full_series_is_refused(self, capsys):
         code, out, _ = run(capsys, "hhh", "torus", "15", "15", "--a0", "--json")
         assert code == 0

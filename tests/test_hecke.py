@@ -268,6 +268,80 @@ class TestBruteForce:
         w0 = longest_permutation(3)
         assert brute_force_count(b, w0, 3, threads=2) == brute_force_count(b, w0, 3)
 
+    def test_threads_agree_across_batches(self):
+        # 5^8 tuples on 3 strands fill several batches, so the pool splits
+        # the work between its threads.
+        b = torus_braid(3, 4)
+        assert 5**8 > hecke._BATCH_BYTES // 9
+        for w in (identity_permutation(3), longest_permutation(3)):
+            want = point_count(b, w).evaluate(5)
+            assert brute_force_count(b, w, 5, threads=2) == brute_force_count(b, w, 5) == want
+
+    @pytest.mark.parametrize(
+        "p, dtype, b",
+        [
+            # p^6 is above the batch size, so these two run the prefix path.
+            (11, np.int8, torus_braid(2, 6)),
+            (13, np.int16, torus_braid(2, 6)),
+            (181, np.int16, BraidWord.make(3, [1, 2])),
+            (191, np.int32, BraidWord.make(3, [1, 2])),
+            (46337, np.int32, BraidWord.make(2, [1])),
+            (46349, np.int64, BraidWord.make(2, [1])),
+        ],
+    )
+    def test_entry_dtype_boundaries(self, p, dtype, b):
+        # (p - 1) + (p - 1)^2 fits int8 up to p = 11, int16 up to 181 and
+        # int32 up to 46337.
+        assert hecke._entry_dtype(p) == np.dtype(dtype)
+        # The largest entry a letter can form, (p - 1) + (p - 1) * (p - 1),
+        # computed in the narrow type against Python integers.
+        batch = np.full((2, 2, 1), p - 1, dtype=dtype)
+        zs = np.arange(p, dtype=dtype)[:, None]
+        (out,) = hecke._products(batch, [1], zs, p, p)
+        assert out.dtype == np.dtype(dtype)
+        assert out[:, 1].tolist() == [[(p - 1 + z * (p - 1)) % p for z in range(p)]] * 2
+        assert out[:, 0].tolist() == [[p - 1] * p] * 2
+        for w in (identity_permutation(b.strands), longest_permutation(b.strands)):
+            assert brute_force_count(b, w, p) == point_count(b, w).evaluate(p)
+
+    @pytest.mark.parametrize("batch_bytes", [1, 24, 200, 1 << 20])
+    @pytest.mark.parametrize(
+        "b, p",
+        [(torus_braid(2, 3), 13), (torus_braid(3, 4), 2), (BraidWord.make(3, [1, 2, 2, 1, 1]), 5)],
+    )
+    def test_batch_size_does_not_change_counts(self, monkeypatch, batch_bytes, b, p):
+        # Small batches split the word into prefix runs, and below p
+        # matrices a letter's z values into runs as well.
+        monkeypatch.setattr(hecke, "_BATCH_BYTES", batch_bytes)
+        targets = (identity_permutation(b.strands), longest_permutation(b.strands))
+        want = [point_count(b, w).evaluate(p) for w in targets]
+        for threads in (1, 2):
+            assert hecke._enumerate_counts(b, targets, p, threads) == want
+
+    @pytest.mark.parametrize("n, r", [(2, 18), (12, 16)])
+    def test_batches_held_to_the_byte_budget(self, monkeypatch, n, r):
+        # Every batch the kernel builds, on any strand count, holds at most
+        # _BATCH_BYTES of matrix entries.
+        monkeypatch.setattr(hecke, "_BATCH_BYTES", 1 << 16)
+        sizes = []
+        products = hecke._products
+
+        def spy(*args):
+            sizes.append(args[0].nbytes)
+            for batch in products(*args):
+                sizes.append(batch.nbytes)
+                yield batch
+
+        monkeypatch.setattr(hecke, "_products", spy)
+        b = BraidWord.make(n, [k % (n - 1) + 1 for k in range(r)])
+        e = identity_permutation(n)
+        assert brute_force_count(b, e, 2) == point_count(b, e).evaluate(2)
+        assert (1 << 15) < max(sizes) <= 1 << 16
+
+    def test_entry_dtype_refuses_what_int64_cannot_hold(self):
+        with pytest.raises(ValueError, match="too large"):
+            hecke._entry_dtype(2**32 + 15)
+
     @given(words(max_strands=3, max_len=4), st.sampled_from([2, 3, 5]))
     @settings(max_examples=25, deadline=None)
     def test_matches_transfer_count(self, b, p):

@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -217,6 +218,28 @@ class TestEngineLimits:
         with pytest.raises(ValueError, match="total length 41 needs more than 200 characters"):
             hhh_torus(1, 40)
         assert hhh_torus(1, 3) == reference_series("0", "000")
+
+    @pytest.mark.parametrize("series", [hhh_a0, hhh_torus])
+    def test_root_refused_before_its_strings_are_built(self, series):
+        # "0" * 10**8 alone would take 100 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ValueError,
+                match=f"total length 100000000 needs more than {recursion.MAX_PLAN_CHARS} "
+                "characters of recursion states \\(the admission budget\\)",
+            ):
+                series(0, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_root_character_boundary(self, monkeypatch):
+        monkeypatch.setattr(recursion, "MAX_PLAN_CHARS", 200)
+        assert hhh_a0(0, 200).denom_pow == 200
+        with pytest.raises(ValueError, match="total length 201 needs more than 200 characters"):
+            hhh_a0(0, 201)
 
     def test_base_refused_before_it_is_built(self, monkeypatch):
         built = []
