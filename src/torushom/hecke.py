@@ -25,8 +25,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import recursion
 from .braid import BraidWord, Permutation, inverse_permutation, permutation_length
-from .recursion import MAX_LIVE_BYTES, _int_bytes, _needs_object
+from .recursion import MAX_LIVE_BYTES, _int_bytes
+
+# Signed integer types, narrowest first, each with the least positive value
+# it cannot hold.
+_INT_TYPES = tuple(
+    (np.dtype(t), 1 << (8 * np.dtype(t).itemsize - 1))
+    for t in (np.int8, np.int16, np.int32, np.int64)
+)
 
 
 class QPoly:
@@ -58,9 +66,6 @@ class QPoly:
             for e2, c2 in other._coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return QPoly(out)
-
-    def divisible_by_power_of_q(self, k: int) -> bool:
-        return all(e >= k for e in self._coeffs)
 
     def evaluate(self, x: int) -> int:
         return sum(c * x**e for e, c in self._coeffs.items())
@@ -128,10 +133,10 @@ class _Fold:
 
     __slots__ = ("weight", "keys", "arr", "bound")
 
-    def __init__(self, n: int, width: int):
+    def __init__(self, n: int, width: int, dtype: np.dtype):
         self.weight = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.keys = np.arange(n)[None] @ self.weight
-        self.arr = np.zeros((1, width), dtype=np.int64)
+        self.arr = np.zeros((1, width), dtype=dtype)
         self.arr[0, 0] = self.bound = 1
 
     def partners(self, j: int):
@@ -143,6 +148,11 @@ class _Fold:
         hit = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return lo < hi, keys, hit, self.keys[hit] == keys
 
+    def perms(self, rows=slice(None)) -> list[Permutation]:
+        """The permutations of the given rows, by default of every row."""
+        n = len(self.weight)
+        return list(map(tuple, (self.keys[rows, None] // self.weight % n + 1).tolist()))
+
 
 def _fold(b: BraidWord) -> _Fold:
     """Fold the letters of b into e under the geometric transfer rule: each
@@ -151,31 +161,45 @@ def _fold(b: BraidWord) -> _Fold:
     c'[w] = c[ws] where ws is longer than w, and q (c[w] + c[ws]) - c[w]
     where it is shorter.
 
+    A letter grows the coefficient bound at most 3x.  The array starts as
+    int16; before a letter could pass its type, the bound is tightened to
+    the true maximum, and only if three times that still does not fit is the
+    array widened to int32, int64 and then Python ints.  Every fixed-width
+    type is also capped at the recursion's INT64_HEADROOM.
+
     Raises ValueError before the rows would pass MAX_LIVE_BYTES: at the peak
     of a letter the coefficient array and three half-size temporaries are
-    held, and each row also has its key and about eight index entries.
+    held, and each row also has its key and about eight index entries.  The
+    old array, held beside the new one while it is widened, is at most half
+    as wide per entry, so that peak covers it.
     """
     if not b.is_positive():
         raise ValueError("point counting requires a positive braid word")
     n, r = b.strands, len(b.letters)
-    f = _Fold(n, r + 1)
+    cap = recursion.INT64_HEADROOM
+    ladder = iter([(t, min(limit, cap)) for t, limit in _INT_TYPES[1:]] + [(object, None)])
+    dtype, limit = next(ladder)
+    f = _Fold(n, r + 1, dtype)
     for k, (idx, _) in enumerate(b.letters):
         j, cols = idx - 1, k + 1  # degrees are at most k so far
         up, keys, hit, found = f.partners(j)
         # Nonzero rows whose partner has no row yet.
         missing = np.flatnonzero(~found)
         fresh = missing[(f.arr[missing, :cols] != 0).any(axis=1)]
-        bignum = _needs_object(f, 3)
+        if limit is not None and 3 * f.bound >= limit:
+            f.bound = int(np.abs(f.arr).max())
+            while limit is not None and 3 * f.bound >= limit:
+                dtype, limit = next(ladder)
         # Past int64, size each entry by the bound after the last letter,
         # which is below 4^(r - k) times the present one.
-        entry = _int_bytes(f.bound.bit_length() + 2 * (r - k)) if bignum else 8
+        entry = dtype.itemsize if limit else _int_bytes(f.bound.bit_length() + 2 * (r - k))
         if (len(f.keys) + len(fresh)) * (5 * (r + 1) * entry // 2 + 72) > MAX_LIVE_BYTES:
             raise ValueError(
                 f"braid word of {r} letters on {n} strands needs more than "
                 f"{MAX_LIVE_BYTES >> 20} MiB for its Hecke fold (the memory budget)"
             )
-        if bignum and f.arr.dtype != object:
-            f.arr = f.arr.astype(object)
+        if f.arr.dtype != dtype:
+            f.arr = f.arr.astype(dtype)
         if len(fresh):  # zero rows for their partners, kept sorted
             new = np.sort(keys[fresh])
             at = np.searchsorted(f.keys, new)
@@ -205,9 +229,8 @@ def _poly(row, ell: int = 0) -> QPoly:
 def _element(b: BraidWord, divide: bool) -> HeckeElement:
     f = _fold(b)
     rows = np.flatnonzero((f.arr != 0).any(axis=1))
-    perms = (f.keys[rows, None] // f.weight % b.strands + 1).tolist()
     support = []
-    for row, w in zip(rows, map(tuple, perms)):
+    for row, w in zip(rows, f.perms(rows)):
         support.append((w, _poly(f.arr[row], permutation_length(w) if divide else 0)))
     return HeckeElement(b.strands, tuple(support))
 
@@ -226,16 +249,20 @@ def braid_hecke_product(b: BraidWord) -> HeckeElement:
 
 
 def point_count(b: BraidWord, target: Permutation) -> QPoly:
-    """#X(b; target) over F_q as a polynomial in q.
+    """#X(b; target) over F_q as a polynomial in q."""
+    if len(target) != b.strands:
+        raise ValueError("target permutation size does not match strand count")
+    return _count(_fold(b), target)
+
+
+def _count(f: _Fold, target: Permutation) -> QPoly:
+    """#X(b; target) read from the finished fold f of b.
 
     Extracts the transfer-product coefficient at target^{-1} and divides it
     exactly by q^len(target): the cell count spreads evenly over the
     q^len(target) cosets refining the cell, and the variety picks the coset
     of the permutation matrix itself.
     """
-    if len(target) != b.strands:
-        raise ValueError("target permutation size does not match strand count")
-    f = _fold(b)
     rows = f.arr[f.keys == (np.array(inverse_permutation(target)) - 1) @ f.weight]
     row = rows[0] if len(rows) else np.zeros(0, dtype=np.int64)
     ell = permutation_length(target)
@@ -320,9 +347,9 @@ def _is_prime(p: int) -> bool:
 
 def _entry_dtype(p: int) -> np.dtype:
     """Narrowest signed integer type holding a + z*b for a, b, z in [0, p)."""
-    for dtype in (np.int8, np.int16, np.int32, np.int64):
-        if (p - 1) + (p - 1) ** 2 <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
+    for dtype, limit in _INT_TYPES:
+        if (p - 1) + (p - 1) ** 2 < limit:
+            return dtype
     raise ValueError(f"p = {p} is too large for brute force")
 
 

@@ -14,7 +14,6 @@ bases, independently of the recursion pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import RatFunc, qta_degree_from_QTA, series_truncate
 
@@ -61,21 +60,21 @@ def _mult_matrix(degree: int) -> list[list[int]]:
 
 
 def _rank(matrix: list[list[int]]) -> int:
-    """Exact rank by fraction-free Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
+    """Exact rank by fraction-free (Bareiss) elimination: after each pivot
+    the rows below hold minors of the matrix, so every division is exact."""
+    m = [list(row) for row in matrix]
+    rank, prev = 0, 1
     cols = len(m[0]) if m else 0
     for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        p = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], m[rank])]
+        prev = p
         rank += 1
     return rank
 

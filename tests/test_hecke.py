@@ -228,12 +228,71 @@ class TestFoldLimits:
     def test_python_int_fallback_matches(self, monkeypatch):
         b = torus_braid(4, 5)
         expected = braid_transfer_product(b)
-        assert hecke._fold(b).arr.dtype == np.int64
+        assert hecke._fold(b).arr.dtype == np.int16
         # The largest coefficient of this fold is past 16 / 3, so a headroom of
         # 16 sends it to Python ints.
         monkeypatch.setattr(recursion, "INT64_HEADROOM", 2**4)
         assert hecke._fold(b).arr.dtype == object
         assert braid_transfer_product(b) == expected
+
+    @staticmethod
+    def short_ladder(monkeypatch, *limits):
+        """Give the fold's first rungs, int16, int32, ..., the limits given."""
+        types = list(hecke._INT_TYPES)
+        for k, limit in enumerate(limits, 1):
+            types[k] = (types[k][0], limit)
+        monkeypatch.setattr(hecke, "_INT_TYPES", tuple(types))
+
+    @staticmethod
+    def dtypes(b):
+        """The types the fold of b holds after each letter, without repeats."""
+        seen = []
+        for k in range(1, len(b.letters) + 1):
+            dtype = hecke._fold(BraidWord(b.strands, b.letters[:k])).arr.dtype
+            if dtype not in seen:
+                seen.append(dtype)
+        return seen
+
+    def test_widens_through_every_rung(self, monkeypatch):
+        # The largest coefficient of T(5,6) grows 1, 2, ..., 11, ..., 19: past
+        # 4 / 3 it leaves int16, past 16 / 3 int32, and past 32 / 3 int64.
+        b = torus_braid(5, 6)
+        self.short_ladder(monkeypatch, 4, 16, 32)
+        assert self.dtypes(b) == [np.int16, np.int32, np.int64, object]
+        TestAgainstDictFold.check(b)
+
+    def test_tightened_bound_keeps_the_type(self, monkeypatch):
+        # The tracked bound 3^24 passes every patched limit, but the true
+        # maximum, 19, times 3 fits below 64.
+        self.short_ladder(monkeypatch, 64, 64, 64)
+        assert self.dtypes(torus_braid(5, 6)) == [np.int16]
+
+    @given(words(max_strands=5, max_len=12), st.integers(2, 6), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_words_on_a_short_ladder(self, b, low, step):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.short_ladder(monkeypatch, low, low << step, low << 2 * step)
+            TestAgainstDictFold.check(b)
+
+    def test_t89_stays_int16(self):
+        # The largest coefficient of this fold is 416.
+        assert hecke._fold(torus_braid(8, 9)).arr.dtype == np.int16
+
+    @pytest.mark.parametrize("limits,dtype", [((), np.int16), ((4, 16), np.int64)])
+    def test_memory_budget_boundary(self, monkeypatch, limits, dtype):
+        # Rows and entry width only grow, so the last letter is the dearest:
+        # its rows, priced at the width of the type it runs in.
+        self.short_ladder(monkeypatch, *limits)
+        b, e = torus_braid(7, 8), identity_permutation(7)
+        f = hecke._fold(b)
+        assert f.arr.dtype == dtype
+        need = len(f.keys) * (5 * 49 * f.arr.itemsize // 2 + 72)
+        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need)
+        assert point_count(b, e) == hecke._count(f, e)
+        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need - 1)
+        refused = f"braid word of 48 letters on 7 strands needs more than {need >> 20} MiB"
+        with pytest.raises(ValueError, match=refused):
+            point_count(b, e)
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", 1 << 20)

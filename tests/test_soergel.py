@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torushom.recursion import hhh_a0
 from torushom.soergel import (
     MULT,
     ZERO,
+    _rank,
     hhh0_two_strand,
     hom_complex_two_strand,
     qt_table_within,
@@ -85,3 +88,52 @@ class TestHomology:
     @pytest.mark.parametrize("m", range(0, 13))
     def test_oracle_agreement(self, m):
         assert two_strand_qt_dims(m, 20) == qt_table_within(hhh_a0(2, m), 20, -m)
+
+
+def fraction_rank(matrix):
+    """Rank by Gauss-Jordan elimination over the rationals, kept as the
+    oracle of the fraction-free rank."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    cols = len(m[0]) if m else 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 8x8: a product of a rows x k and a k x cols
+    factor, so of rank at most k, with some columns then set to zero."""
+    rows, cols, k = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    entry = st.integers(-6, 6)
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    right = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    zero = draw(st.sets(st.integers(0, cols - 1)))
+    return [
+        [0 if c in zero else sum(a * right[i][c] for i, a in enumerate(row)) for c in range(cols)]
+        for row in left
+    ]
+
+
+class TestRank:
+    @given(integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_elimination(self, matrix):
+        assert _rank(matrix) == fraction_rank(matrix)
+
+    def test_edge_shapes(self):
+        assert _rank([]) == 0
+        assert _rank([[0, 0, 0], [0, 0, 0]]) == 0
+        assert _rank([[0, 2], [0, 4], [0, 7]]) == 1
+        assert _rank([[1, 2, 3], [2, 4, 6], [1, 0, 1]]) == 2
