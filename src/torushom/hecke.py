@@ -27,14 +27,7 @@ import numpy as np
 
 from . import recursion
 from .braid import BraidWord, Permutation, inverse_permutation, permutation_length
-from .recursion import MAX_LIVE_BYTES, _int_bytes
-
-# Signed integer types, narrowest first, each with the least positive value
-# it cannot hold.
-_INT_TYPES = tuple(
-    (np.dtype(t), 1 << (8 * np.dtype(t).itemsize - 1))
-    for t in (np.int8, np.int16, np.int32, np.int64)
-)
+from .recursion import _INT_TYPES, MAX_LIVE_BYTES, _int_bytes
 
 
 class QPoly:
@@ -176,23 +169,20 @@ def _fold(b: BraidWord) -> _Fold:
     if not b.is_positive():
         raise ValueError("point counting requires a positive braid word")
     n, r = b.strands, len(b.letters)
-    cap = recursion.INT64_HEADROOM
-    ladder = iter([(t, min(limit, cap)) for t, limit in _INT_TYPES[1:]] + [(object, None)])
-    dtype, limit = next(ladder)
-    f = _Fold(n, r + 1, dtype)
+    f = _Fold(n, r + 1, recursion._rung(1, _INT_TYPES))
     for k, (idx, _) in enumerate(b.letters):
         j, cols = idx - 1, k + 1  # degrees are at most k so far
         up, keys, hit, found = f.partners(j)
         # Nonzero rows whose partner has no row yet.
         missing = np.flatnonzero(~found)
         fresh = missing[(f.arr[missing, :cols] != 0).any(axis=1)]
-        if limit is not None and 3 * f.bound >= limit:
-            f.bound = int(np.abs(f.arr).max())
-            while limit is not None and 3 * f.bound >= limit:
-                dtype, limit = next(ladder)
+        dtype, f.bound = recursion._widen(f.arr, f.bound, 3, _INT_TYPES)
         # Past int64, size each entry by the bound after the last letter,
         # which is below 4^(r - k) times the present one.
-        entry = dtype.itemsize if limit else _int_bytes(f.bound.bit_length() + 2 * (r - k))
+        if dtype == object:
+            entry = _int_bytes(f.bound.bit_length() + 2 * (r - k))
+        else:
+            entry = dtype.itemsize
         if (len(f.keys) + len(fresh)) * (5 * (r + 1) * entry // 2 + 72) > MAX_LIVE_BYTES:
             raise ValueError(
                 f"braid word of {r} letters on {n} strands needs more than "

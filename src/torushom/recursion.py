@@ -12,9 +12,10 @@ each one.  The pairs are then evaluated children first, and each value is
 dropped as soon as its last consumer has read it.  A numerator is a dense
 integer array indexed [a, q, t] with offsets on each axis, so the rules
 become offset changes, slot shifts, shift-subtracts along q (multiplying by
-1 - q) and cumulative sums along q (dividing by it).  Arrays are int64 while
-a tracked bound on their coefficients stays below ``INT64_HEADROOM``, and
-Python ints past it; the arithmetic is exact either way.
+1 - q) and cumulative sums along q (dividing by it).  Each array is built in
+the narrowest of int16, int32 and int64 that holds a tracked bound on its
+coefficients, each capped at ``INT64_HEADROOM``, and in Python ints past
+them; the arithmetic is exact either way.
 
 Setting a = 0 is a ring map that commutes with the five rules, since a
 enters only through the base (1 + a)^n and the factor t^ell + a.  The a = 0
@@ -38,19 +39,52 @@ from .algebra import (
 )
 
 # Admission budget of one evaluation, about 1 GB of memory in all.  The plan
-# stops past MAX_STATES distinct pairs: peak RSS per state measured 3.2 kB on
-# T(14,15) (49,137 states) and 4.3 kB on T(16,17) (196,591 states, admitted).
+# stops past MAX_STATES distinct pairs: peak RSS per state measured 1.6 kB on
+# T(14,15) (49,137 states) and 1.5 kB on T(16,17) (196,591 states, admitted).
 # It also stops once its pairs hold MAX_PLAN_CHARS characters, since few
 # states may still have long strings (T(1, n) has about n^2 / 2); T(16,17)
-# holds 6.0 million.  Links need more per state (21 kB on T(14,14)), so
-# evaluation also stops before the numerators it holds would pass
-# MAX_LIVE_BYTES; T(16,17) peaks at 719 MiB.
+# holds 6.0 million.  Links need more per state (8.0 kB on T(14,14), 11 kB
+# on T(15,15)), so evaluation also stops before the numerators it holds
+# would pass MAX_LIVE_BYTES.  T(16,17) peaks at 183 MiB of them and T(15,15)
+# at 589 MiB; T(16,16) (131,071 states) passes the budget.
 MAX_STATES = 250_000
 MAX_PLAN_CHARS = 8_000_000
 MAX_LIVE_BYTES = 768 << 20
 
-# Coefficient bound past which a numerator switches from int64 to Python ints.
+# Coefficient bound past which numerators and Hecke fold rows hold Python
+# ints rather than int64.
 INT64_HEADROOM = 2**62
+
+# Signed integer types, narrowest first, each with the least positive value
+# it cannot hold.  Exact arithmetic climbs them from int16 (_rung).
+_INT_TYPES = tuple(
+    (np.dtype(t), 1 << (8 * np.dtype(t).itemsize - 1))
+    for t in (np.int8, np.int16, np.int32, np.int64)
+)
+
+
+def _rung(bound: int, types) -> np.dtype:
+    """The narrowest type that holds every |coefficient| up to bound, on the
+    ladder of ``types``: its types from int16 up, each with its limit capped
+    at INT64_HEADROOM, then Python ints."""
+    if bound < INT64_HEADROOM:
+        for dtype, limit in types[1:]:
+            if bound < limit:
+                return dtype
+    return np.dtype(object)
+
+
+def _widen(arr, bound: int, factor: int, types) -> tuple[np.dtype, int]:
+    """The type that arithmetic growing arr's coefficients, bounded by
+    ``bound``, by ``factor`` needs, and the bound to keep.  That is arr's own
+    type while it holds bound * factor.  Otherwise the bound is first
+    tightened to the true maximum, and the type is the narrowest rung of
+    ``types`` that holds the product and is no narrower than arr's."""
+    dtype = np.promote_types(_rung(bound * factor, types), arr.dtype)
+    if dtype != arr.dtype:
+        bound = int(np.abs(arr).max())
+        dtype = np.promote_types(_rung(bound * factor, types), arr.dtype)
+    return dtype, bound
 
 
 class _Num:
@@ -71,34 +105,24 @@ class _Num:
         self.bound = bound
 
 
-def _needs_object(x, factor: int) -> bool:
-    """Whether growing the coefficients of x.arr, bounded by x.bound, by
-    ``factor`` needs Python ints.  When int64 could overflow, the bound is
-    first tightened to the true maximum."""
-    if x.arr.dtype != object and x.bound * factor >= INT64_HEADROOM:
-        x.bound = int(np.abs(x.arr).max())
-    return x.arr.dtype == object or x.bound * factor >= INT64_HEADROOM
-
-
 def _room(x: _Num, factor: int):
     """x.arr, ready for arithmetic that grows its coefficients by ``factor``:
-    a Python-int copy when int64 is not enough.  The stored value is never
-    converted, so its accounted size stays right."""
-    if x.arr.dtype != object and _needs_object(x, factor):
-        return x.arr.astype(object)
-    return x.arr
+    a copy in a wider type when its own is not enough.  The stored value is
+    never converted, so its accounted size stays right."""
+    dtype, x.bound = _widen(x.arr, x.bound, factor, _INT_TYPES)
+    return x.arr if dtype == x.arr.dtype else x.arr.astype(dtype)
 
 
 def _base(n: int, a0: bool = False) -> _Num:
     """(1 + a)^n / (1 - q)^n, or its a^0 slice 1 / (1 - q)^n."""
     if a0:
-        return _Num(np.ones((1, 1, 1), dtype=np.int64), 0, 0, 0, n, 1)
+        return _Num(np.ones((1, 1, 1), dtype=_rung(1, _INT_TYPES)), 0, 0, 0, n, 1)
     coeffs = [1]
     for k in range(n):  # math.comb per entry would cost a factor of n more
         coeffs.append(coeffs[-1] * (n - k) // (k + 1))
     bound = coeffs[n // 2]
-    dtype = object if bound >= INT64_HEADROOM else np.int64
-    return _Num(np.array(coeffs, dtype=dtype).reshape(n + 1, 1, 1), 0, 0, 0, n, bound)
+    arr = np.array(coeffs, dtype=_rung(bound, _INT_TYPES)).reshape(n + 1, 1, 1)
+    return _Num(arr, 0, 0, 0, n, bound)
 
 
 def _times_t_plus_a(x: _Num, ell: int, a0: bool = False) -> _Num:
@@ -149,7 +173,7 @@ def _normalize(arr, off, d: int, bound: int) -> _Num:
     """Cancel every common factor (1 - q) of arr / (1 - q)^d."""
     trimmed = _trim(arr, off)
     if trimmed is None:
-        return _Num(np.zeros((1, 1, 1), dtype=np.int64), 0, 0, 0, 0, 0)
+        return _Num(np.zeros((1, 1, 1), dtype=_rung(0, _INT_TYPES)), 0, 0, 0, 0, 0)
     x = _Num(trimmed[0], *trimmed[1], d, bound)
     while x.d > 0:
         # (1 - q) divides only if the value at a = q = t = 1 is 0.  An int64
@@ -157,7 +181,8 @@ def _normalize(arr, off, d: int, bound: int) -> _Num:
         if x.arr.sum():
             break
         nq = x.arr.shape[1]
-        sums = np.cumsum(_room(x, nq), axis=1)
+        arr = _room(x, nq)
+        sums = np.cumsum(arr, axis=1, dtype=arr.dtype)  # not widened to int64
         if sums[:, -1].any():
             break
         x.arr = sums[:, :-1]
@@ -288,8 +313,9 @@ def _nbytes(x: _Num) -> int:
 
 def _base_bytes(n: int) -> int:
     """Upper bound on _nbytes(_base(n)), known before it is built: the
-    entries are below 2^n, and int64 below 2^62."""
-    return (n + 1) * (8 if n < 62 else _int_bytes(n))
+    entries are below 2^n, and 2^64 is past every fixed-width rung."""
+    dtype = _rung(1 << min(n, 64), _INT_TYPES)
+    return (n + 1) * (_int_bytes(n) if dtype == object else dtype.itemsize)
 
 
 def _evaluate(v: str, w: str, a0: bool = False) -> _Num:

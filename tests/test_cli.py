@@ -185,7 +185,12 @@ class TestExitCodes:
         assert code == 2
         assert "total length 10000000000" in err and "admission budget" in err
 
-    def test_a0_answered_where_the_full_series_is_refused(self, capsys):
+    def test_a0_answered_where_the_full_series_is_refused(self, capsys, monkeypatch):
+        from torushom import recursion
+
+        # The a = 0 part of T(15,15) holds at most 25 MiB of numerators at a
+        # time, and the full series about 590 MiB.
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", 32 << 20)
         code, out, _ = run(capsys, "hhh", "torus", "15", "15", "--a0", "--json")
         assert code == 0
         assert ratfunc_from_json(out).denom_pow == 15

@@ -123,6 +123,19 @@ def poly_digest(p: LaurentPoly) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def series_pin(r: RatFunc) -> tuple[int, int, str]:
+    return r.denom_pow, len(r.num), poly_digest(r.num)
+
+
+# (denominator power, term count, digest) of hhh_torus(m, n).  The largest
+# coefficients of these series have 15 bits, so part of each evaluation
+# leaves int16.
+PAST_INT16 = {
+    (10, 10): (10, 8282, "db86e7d328dadd17fb0954a2f210966e27508b3fca81769c05c2705aa5125d16"),
+    (12, 13): (1, 14315, "fc0b488d2a87b4960006045469d91f9905b8a12cf04027e351d5d70d1add2f4f"),
+}
+
+
 @st.composite
 def balanced_pairs(draw):
     """Two binary strings of length <= 9 with equally many 1s."""
@@ -158,6 +171,10 @@ class TestAgainstReference:
     def test_pinned_digests(self, m, n, denom_pow, terms, digest):
         r = hhh_torus(m, n)
         assert (r.denom_pow, len(r.num), poly_digest(r.num)) == (denom_pow, terms, digest)
+
+    @pytest.mark.parametrize("m,n", PAST_INT16)
+    def test_pinned_digests_past_int16(self, m, n):
+        assert series_pin(hhh_torus(m, n)) == PAST_INT16[m, n]
 
 
 class TestEngineKernels:
@@ -204,7 +221,51 @@ class TestEngineLimits:
         monkeypatch.setattr(recursion, "INT64_HEADROOM", 2**4)
         x = recursion._base(3)
         assert recursion._room(x, 8).dtype == object
-        assert x.arr.dtype == np.int64
+        assert x.arr.dtype == np.int16
+
+    @staticmethod
+    def built_types(monkeypatch):
+        """Record the type of every value the evaluation stores, in order."""
+        types = []
+        nbytes = recursion._nbytes
+        monkeypatch.setattr(recursion, "_nbytes", lambda x: types.append(x.arr.dtype) or nbytes(x))
+        return types
+
+    def test_widens_through_every_rung(self, monkeypatch):
+        # The largest coefficient of T(10,10) is past 2^14, so limits of 4, 64
+        # and 1024 on int16, int32 and int64 send its values up every rung.
+        table = list(recursion._INT_TYPES)
+        for k, limit in enumerate([4, 64, 1024], 1):
+            table[k] = (table[k][0], limit)
+        monkeypatch.setattr(recursion, "_INT_TYPES", tuple(table))
+        types = self.built_types(monkeypatch)
+        assert series_pin(hhh_torus(10, 10)) == PAST_INT16[10, 10]
+        assert list(dict.fromkeys(types)) == [np.int16, np.int32, np.int64, object]
+
+    def test_mixed_sum_is_exact(self):
+        # An int16 head and an int32 tail: the sum is held in the wider type,
+        # so the tail is not cast into int16 where the two overlap.
+        head = recursion._Num(np.full((1, 2, 1), 16000, dtype=np.int16), 0, 0, 0, 0, 16000)
+        tail = recursion._Num(np.full((1, 1, 1), 1 << 20, dtype=np.int32), 0, 0, 0, 0, 1 << 20)
+        x = recursion._sum_with_q(head, tail, 3)
+        assert x.arr.dtype == np.int32
+        expected = (mono(16000) + mono(16000 + (1 << 20), eq=1)) * mono(1, et=-3)
+        assert recursion._to_ratfunc(x) == RatFunc.of(expected)
+
+    def test_divide_keeps_the_type(self):
+        # (1 - q)(1 + 2q) / (1 - q)^2 in int16: the cumulative sum that
+        # divides by 1 - q stays in int16 rather than numpy's int64.
+        arr = np.array([1, 1, -2], dtype=np.int16).reshape(1, 3, 1)
+        x = recursion._normalize(arr, (0, 0, 0), 2, 2)
+        assert (x.arr.dtype, x.d) == (np.int16, 1)
+        assert recursion._to_ratfunc(x) == RatFunc.of(ONE + mono(2, eq=1), 1)
+
+    def test_t1112_stays_int16(self, monkeypatch):
+        # The largest coefficient of this series has 13 bits, and no value
+        # on the way needs more than int16.
+        types = self.built_types(monkeypatch)
+        hhh_torus(11, 12)
+        assert set(types) == {np.dtype(np.int16)}
 
     def test_state_budget(self, monkeypatch):
         monkeypatch.setattr(recursion, "MAX_STATES", 10)
@@ -397,4 +458,4 @@ class TestAZeroQuotient:
 
     def test_quotient_base_has_no_a(self):
         x = recursion._base(200, a0=True)
-        assert (x.arr.shape, x.arr.dtype, x.d) == ((1, 1, 1), np.int64, 200)
+        assert (x.arr.shape, x.arr.dtype, x.d) == ((1, 1, 1), np.int16, 200)
