@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import curves, hecke, recursion, soergel, verify
 from .algebra import (
@@ -33,6 +34,23 @@ def _print_table(table: GradedTable) -> None:
         print(f"{mono}: {c}")
 
 
+def _refuse_unprintable_root(m: int, n: int) -> None:
+    """Refuse the full series of T(0, n) or T(m, 0) before it is evaluated
+    when Python cannot print it.  Its numerator is (1 + a)^N for N = m + n,
+    whose middle coefficient C(N, N // 2) >= 2^N / (N + 1) has more digits
+    than sys.get_int_max_str_digits() allows once N >= 4 times that limit.
+    A root that the recursion refuses by its own budgets keeps that refusal."""
+    limit = sys.get_int_max_str_digits()
+    size = m + n
+    if min(m, n) or not limit or recursion._base_bytes(size) > recursion.MAX_LIVE_BYTES:
+        return
+    if size >= 4 * limit or comb(size, size // 2) >= 10**limit:
+        raise ValueError(
+            f"T({m},{n}) has series coefficients of more than {limit} digits, past "
+            "Python's limit for printing integers (sys.set_int_max_str_digits)"
+        )
+
+
 def _cmd_hhh(args) -> int:
     m, n = args.m, args.n
     if args.census:
@@ -55,6 +73,7 @@ def _cmd_hhh(args) -> int:
     elif args.a0:
         series = recursion.hhh_a0(m, n)
     else:
+        _refuse_unprintable_root(m, n)
         series = recursion.hhh_torus(m, n)
     if args.truncate is not None:
         table = series_truncate(series, args.truncate)

@@ -147,7 +147,7 @@ class _Fold:
         return list(map(tuple, (self.keys[rows, None] // self.weight % n + 1).tolist()))
 
 
-def _fold(b: BraidWord) -> _Fold:
+def _fold(b: BraidWord, held: int = 0) -> _Fold:
     """Fold the letters of b into e under the geometric transfer rule: each
     crossing sums over the q points of an affine line of flags, so the
     coefficients are q^len(w) times the T-basis ones.  For a generator s,
@@ -160,11 +160,12 @@ def _fold(b: BraidWord) -> _Fold:
     array widened to int32, int64 and then Python ints.  Every fixed-width
     type is also capped at the recursion's INT64_HEADROOM.
 
-    Raises ValueError before the rows would pass MAX_LIVE_BYTES: at the peak
-    of a letter the coefficient array and three half-size temporaries are
-    held, and each row also has its key and about eight index entries.  The
-    old array, held beside the new one while it is widened, is at most half
-    as wide per entry, so that peak covers it.
+    Raises ValueError before the rows, beside ``held`` bytes held elsewhere,
+    would pass MAX_LIVE_BYTES: at the peak of a letter the coefficient array
+    and three half-size temporaries are held, and each row also has its key
+    and about eight index entries.  The old array, held beside the new one
+    while it is widened, is at most half as wide per entry, so that peak
+    covers it.
     """
     if not b.is_positive():
         raise ValueError("point counting requires a positive braid word")
@@ -183,7 +184,8 @@ def _fold(b: BraidWord) -> _Fold:
             entry = _int_bytes(f.bound.bit_length() + 2 * (r - k))
         else:
             entry = dtype.itemsize
-        if (len(f.keys) + len(fresh)) * (5 * (r + 1) * entry // 2 + 72) > MAX_LIVE_BYTES:
+        peak = (len(f.keys) + len(fresh)) * (5 * (r + 1) * entry // 2 + 72)
+        if held + peak > MAX_LIVE_BYTES:
             raise ValueError(
                 f"braid word of {r} letters on {n} strands needs more than "
                 f"{MAX_LIVE_BYTES >> 20} MiB for its Hecke fold (the memory budget)"
@@ -239,10 +241,103 @@ def braid_hecke_product(b: BraidWord) -> HeckeElement:
 
 
 def point_count(b: BraidWord, target: Permutation) -> QPoly:
-    """#X(b; target) over F_q as a polynomial in q."""
+    """#X(b; target) over F_q as a polynomial in q.
+
+    It is the T-basis coefficient of T_b at target^-1, which the symmetrising
+    trace, tau(T_x T_y) = q^len(x) when xy = e and 0 otherwise (Geck-Pfeiffer,
+    section 8.1), reads as q^-len(target) tau(T_L) for L = b followed by a
+    reduced word of target.  Split L = P S anywhere and fold P and the
+    reversed S from e.  The anti-involution T_w -> T_(w^-1) turns T_S into
+    the T-basis coefficients of the reversed fold at equal keys, so
+    tau(T_P T_S) is the sum over the rows u both folds hold of their product
+    divided by q^len(u) (each is q^len(u) times its T-basis coefficient).
+
+    Every split gives the same count; they differ in cost.  L is split in
+    the middle, where two short folds hold far fewer rows than the fold of
+    b.  Two cases fold b alone and read its row at target^-1 instead, the
+    split at len(b): when the middle falls in the target's word, and when
+    both halves have the Demazure product w0, so that both may reach every
+    permutation and the combine, which costs rows x columns^2, is dearer
+    than the one fold.  Both folds are held together under MAX_LIVE_BYTES.
+    """
+    if not b.is_positive():
+        raise ValueError("point counting requires a positive braid word")
     if len(target) != b.strands:
         raise ValueError("target permutation size does not match strand count")
-    return _count(_fold(b), target)
+    n = b.strands
+    word = b.letters + tuple((i, 1) for i in _reduced_word(target))
+    k = len(word) // 2
+    if k >= len(b.letters) or _demazure_is_w0(n, word[:k]) and _demazure_is_w0(n, word[k:]):
+        return _count(_fold(b), target)
+    return _split_count(n, word, k, permutation_length(target))
+
+
+def _split_count(n: int, word, k: int, ell: int) -> QPoly:
+    """q^-ell tau(T_word) from the folds of word[:k] and of word[k:] reversed."""
+    front = _fold(BraidWord(n, word[:k]))
+    # recursion._nbytes prices any arr under a coefficient bound, a fold's too.
+    held = recursion._nbytes(front) + front.keys.nbytes
+    back = _fold(BraidWord(n, word[k:][::-1]), held=held)
+    out = _trace(front, back)
+    if out[:ell].any():
+        raise ArithmeticError(
+            f"divisibility violated: trace {_poly(out).render()} is not divisible by q^{ell}"
+        )
+    return _poly(out, ell)
+
+
+def _reduced_word(x: Permutation) -> list[int]:
+    """The indices of a reduced word s_i1 ... s_il = x: strip right descents
+    of x until e is left, and read them backwards."""
+    x, stripped = list(x), []
+    while i := next((i for i in range(1, len(x)) if x[i - 1] > x[i]), 0):
+        x[i - 1], x[i] = x[i], x[i - 1]
+        stripped.append(i)
+    return stripped[::-1]
+
+
+def _demazure_is_w0(n: int, letters) -> bool:
+    """Whether the Demazure product of the letters, the longest permutation
+    that a subword multiplies to, is the longest permutation w0."""
+    w, ell, top = list(range(n)), 0, n * (n - 1) // 2
+    for i, _ in letters:
+        if ell == top:
+            break
+        if w[i - 1] < w[i]:
+            w[i - 1], w[i] = w[i], w[i - 1]
+            ell += 1
+    return ell == top
+
+
+def _trace(f: _Fold, g: _Fold) -> np.ndarray:
+    """Coefficients of sum_u f[u] g[u] / q^len(u) over the keys u of the rows
+    that both folds hold, in the narrowest type that holds the bound
+    max|f| max|g| min(columns) rows.  The rows of one length go through one
+    matrix product, whose antidiagonals sum their polynomial products; only
+    that class is copied into the wider type at a time."""
+    _, i, j = np.intersect1d(f.keys, g.keys, assume_unique=True, return_indices=True)
+    live = f.arr[i].any(axis=1) & g.arr[j].any(axis=1)
+    a, c = f.arr[i[live]], g.arr[j[live]]
+    wa, wc = a.shape[1], c.shape[1]
+    if not len(a):
+        return np.zeros(wa + wc - 1, dtype=np.int64)
+    bound = int(np.abs(a).max()) * int(np.abs(c).max()) * min(wa, wc) * len(a)
+    dtype = recursion._rung(bound, _INT_TYPES)
+    digits = f.keys[i[live], None] // f.weight % len(f.weight)
+    lengths = np.triu(digits[:, :, None] > digits[:, None, :]).sum(axis=(1, 2))
+    out = np.zeros(wa + wc - 1, dtype=dtype)
+    for ell in range(int(lengths.max()) + 1):
+        rows = lengths == ell
+        if not rows.any():
+            continue
+        # grid[y, x] = sum_u c[u, y] a[u, x + ell].  Laid out in rows of
+        # len(out) + 1 and read back in rows of len(out), row y moves right
+        # by y, so the column sums are the antidiagonal sums.
+        grid = c[rows].T.astype(dtype) @ a[rows, ell:].astype(dtype)
+        shifted = np.zeros((wc, len(out) + 1), dtype=dtype)
+        shifted[:, : wa - ell] = grid
+        out += shifted.ravel()[: wc * len(out)].reshape(wc, len(out)).sum(axis=0, dtype=dtype)
+    return out
 
 
 def _count(f: _Fold, target: Permutation) -> QPoly:

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -185,6 +186,34 @@ class TestExitCodes:
         assert code == 2
         assert "total length 10000000000" in err and "admission budget" in err
 
+    @pytest.mark.parametrize("m,n", [(0, 15000), (15000, 0), (0, 77000)])
+    def test_unprintable_root_rejected_quickly(self, capsys, m, n):
+        # (1 + a)^15000 has coefficients of 4,514 digits, past the default
+        # limit of 4,300; the a = 0 part has unit coefficients.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hhh", "torus", str(m), str(n))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"T({m},{n}) has series coefficients of more than 4300 digits" in err
+        code, out, _ = run(capsys, "hhh", "torus", str(m), str(n), "--a0")
+        assert code == 0 and out.strip() == f"(1) / (1-q)^{m + n}"
+
+    @pytest.mark.parametrize("n,code", [(2131, 0), (2132, 2)])
+    def test_unprintable_root_boundary(self, capsys, n, code):
+        # At Python's lowest limit, 640 digits, C(2131, 1065) has 640 digits
+        # and C(2132, 1066) has 641.
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got, out, err = run(capsys, "hhh", "torus", "0", str(n), "--json")
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert got == code
+        if code:
+            assert "more than 640 digits" in err
+        else:
+            assert ratfunc_from_json(out).denom_pow == n
+
     def test_a0_answered_where_the_full_series_is_refused(self, capsys, monkeypatch):
         from torushom import recursion
 
@@ -227,10 +256,23 @@ class TestExitCodes:
         assert what in err and "module budget" in err
 
     def test_fold_over_budget_rejected(self, capsys):
-        word = torus_braid(10, 11).word_str()
-        code, _, err = run(capsys, "count", "--strands", "10", "--word", word)
+        # Both halves of this word and the word of w0 reach w0, so the word is
+        # folded alone, and that fold would reach 10! rows.
+        twist = half_twist(10).concat(half_twist(10)).concat(torus_braid(10, 1))
+        code, _, err = run(
+            capsys, "count", "--strands", "10", "--word", twist.word_str(), "--target", "w0"
+        )
         assert code == 2
         assert "braid word of 99 letters on 10 strands" in err and "memory budget" in err
+
+    def test_split_fold_answers_quickly(self, capsys):
+        # At e two folds of half the word meet in the middle, far below 10! rows.
+        word = torus_braid(10, 11).word_str()
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "count", "--strands", "10", "--word", word, "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert QPoly.from_json(out).divisible_by_q_minus_1_power(9)
 
     @pytest.mark.parametrize("target,count", [("w0", "1"), ("e", "0")])
     def test_twelve_strand_half_twist(self, capsys, target, count):

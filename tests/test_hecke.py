@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from torushom.braid import (
     inverse_permutation,
     longest_permutation,
     permutation_length,
+    permutation_of,
     torus_braid,
 )
 from torushom.hecke import (
@@ -224,6 +226,109 @@ class TestAgainstDictFold:
         assert len(braid_transfer_product(tail).support) == 4
 
 
+class TestTraceSplit:
+    """point_count as the trace of two folds that meet at a letter k of b
+    followed by a reduced word of the target: every k gives the count."""
+
+    @staticmethod
+    def word(b, target):
+        return b.letters + tuple((i, 1) for i in hecke._reduced_word(target))
+
+    @given(words(max_strands=5, max_len=12), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_every_split(self, b, rnd):
+        n = b.strands
+        mass, f = dict_fold(b), hecke._fold(b)
+        for target in (identity_permutation(n), longest_permutation(n),
+                       tuple(range(2, n + 1)) + (1,), tuple(rnd.sample(range(1, n + 1), n))):
+            ell = permutation_length(target)
+            coeff = mass.coefficient(inverse_permutation(target)).coeffs
+            expected = QPoly({e - ell: c for e, c in coeff.items()})
+            assert hecke._count(f, target) == expected
+            word = self.word(b, target)
+            for k in range(len(word) + 1):
+                assert hecke._split_count(n, word, k, ell) == expected
+            assert point_count(b, target) == expected
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_reduced_words(self, n):
+        for x in itertools.permutations(range(1, n + 1)):
+            word = hecke._reduced_word(x)
+            assert len(word) == permutation_length(x)
+            assert permutation_of(BraidWord.make(n, word)) == x
+
+    @given(words(max_strands=4, max_len=8))
+    @settings(max_examples=100, deadline=None)
+    def test_demazure_product(self, b):
+        # The Demazure product is w0 exactly when some subword multiplies to w0.
+        n, w0 = b.strands, longest_permutation(b.strands)
+        reaches = any(
+            permutation_of(BraidWord(n, tuple(itertools.compress(b.letters, keep)))) == w0
+            for keep in itertools.product((0, 1), repeat=len(b.letters))
+        )
+        assert hecke._demazure_is_w0(n, b.letters) == reaches
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_rotations_agree(self, m):
+        # The e-count is a trace, so every cyclic rotation gives it, whatever
+        # split each rotation's word falls at.
+        b, e = torus_braid(m, m + 1), identity_permutation(m)
+        counts = {point_count(cyclic_rotate(b, k), e) for k in (0, 1, 13, 31, 50)}
+        assert len(counts) == 1
+        assert counts.pop().divisible_by_q_minus_1_power(m - 1)
+
+    def test_t89_against_the_full_fold(self):
+        b, e = torus_braid(8, 9), identity_permutation(8)
+        assert point_count(b, e) == hecke._count(hecke._fold(b), e)
+
+    def test_combine_past_int16(self):
+        # Crossings on six disjoint strand pairs: the variety is the product of
+        # six two-strand ones, and its count has coefficients of 24 bits.  No
+        # half reaches w0, so the two folds always meet.
+        b = BraidWord.make(12, [1, 3, 5, 7, 9, 11] * 31)
+        two = point_count(torus_braid(2, 31), identity_permutation(2))
+        assert point_count(b, identity_permutation(12)) == two * two * two * two * two * two
+
+    @pytest.mark.parametrize("m", [10, 12])
+    def test_past_the_full_fold(self, m):
+        # The fold of T(10,11) alone would hold 10! rows, past the budget.
+        # For every m <= 9 that fold gives q^(m(m-1)/2) (q - 1)^(m-1).
+        b, e = torus_braid(m, m + 1), identity_permutation(m)
+        count = point_count(b, e)
+        assert count.divisible_by_q_minus_1_power(m - 1)
+        expected = qp({m * (m - 1) // 2: 1})
+        for _ in range(m - 1):
+            expected = expected * qp({1: 1, 0: -1})
+        assert count == expected
+        word = self.word(b, e)
+        assert hecke._split_count(m, word, len(word) // 2 + 5, 0) == count
+
+
+class TestRecursionBridge:
+    """With c = gcd(m, n) and N(q) the numerator of euler_a0(m, n) over
+    (1 - q)^c, #X(T(m,n) half_twist(m); w0) = (q - 1)^(m - c) N(q)."""
+
+    @pytest.mark.parametrize("m,n", [
+        (2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6), (5, 7), (6, 7), (7, 8),
+        (2, 2), (2, 4), (3, 3), (3, 6), (4, 4), (4, 6), (5, 5), (6, 6), (6, 8), (7, 7),
+    ])
+    def test_lowest_a_degree(self, m, n):
+        c = math.gcd(m, n)
+        series = recursion.euler_a0(m, n)
+        assert series.denom_pow <= c
+        numerator = {}
+        for (ea, eq, et), coeff in series.num.items():
+            assert ea == et == 0
+            numerator[eq] = coeff
+        right = QPoly(numerator)
+        for _ in range(c - series.denom_pow):
+            right = right * qp({0: 1, 1: -1})
+        for _ in range(m - c):
+            right = right * qp({1: 1, 0: -1})
+        b = torus_braid(m, n).concat(half_twist(m))
+        assert point_count(b, longest_permutation(m)) == right
+
+
 class TestFoldLimits:
     def test_python_int_fallback_matches(self, monkeypatch):
         b = torus_braid(4, 5)
@@ -281,25 +386,44 @@ class TestFoldLimits:
     @pytest.mark.parametrize("limits,dtype", [((), np.int16), ((4, 16), np.int64)])
     def test_memory_budget_boundary(self, monkeypatch, limits, dtype):
         # Rows and entry width only grow, so the last letter is the dearest:
-        # its rows, priced at the width of the type it runs in.
+        # its rows, priced at the width of the type it runs in.  Both halves
+        # of T(7,8) and the word of w0 reach w0, so point_count folds b alone.
         self.short_ladder(monkeypatch, *limits)
-        b, e = torus_braid(7, 8), identity_permutation(7)
+        b, w0 = torus_braid(7, 8), longest_permutation(7)
         f = hecke._fold(b)
         assert f.arr.dtype == dtype
         need = len(f.keys) * (5 * 49 * f.arr.itemsize // 2 + 72)
         monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need)
-        assert point_count(b, e) == hecke._count(f, e)
+        assert point_count(b, w0) == hecke._count(f, w0)
         monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need - 1)
         refused = f"braid word of 48 letters on 7 strands needs more than {need >> 20} MiB"
         with pytest.raises(ValueError, match=refused):
-            point_count(b, e)
+            point_count(b, w0)
+        with pytest.raises(ValueError, match=refused):
+            hecke._fold(b)
+        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need)
+        with pytest.raises(ValueError, match=refused):
+            hecke._fold(b, held=1)
 
     def test_memory_budget(self, monkeypatch):
         monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", 1 << 20)
         refused = "braid word of 48 letters on 7 strands needs more than 1 MiB"
         with pytest.raises(ValueError, match=refused):
-            point_count(torus_braid(7, 8), identity_permutation(7))
+            point_count(torus_braid(7, 8), longest_permutation(7))
         assert point_count(torus_braid(2, 3), identity_permutation(2)) == qp({2: 1, 1: -1})
+
+    def test_split_folds_are_admitted_together(self, monkeypatch):
+        # The second fold is admitted beside the bytes the first one holds.
+        seen, fold = [], hecke._fold
+
+        def spy(b, held=0):
+            f = fold(b, held)
+            seen.extend((held, recursion._nbytes(f) + f.keys.nbytes))
+            return f
+
+        monkeypatch.setattr(hecke, "_fold", spy)
+        point_count(torus_braid(8, 9), identity_permutation(8))
+        assert len(seen) == 4 and seen[0] == 0 and seen[2] == seen[1] > 0
 
 
 class TestBruteForce:
