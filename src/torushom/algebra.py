@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb
+from math import lgamma, log
 from typing import Mapping, Optional
 
 Exponent = tuple[int, int, int]  # (e_a, e_q, e_t); e_a >= 0 always
+
+# Admission budget for series_truncate, in 64-bit words of the coefficient
+# products it makes plus _ENTRY_WORDS (about 290 bytes) per table entry.  On
+# 2 cores a word cost 17-212 ns and at most 10 bytes of peak RSS, from 19-bit
+# to 14,000-bit coefficients, so this bounds one call near 1.7 s and 80 MB.
+MAX_SERIES_WORDS = 8_000_000
+_ENTRY_WORDS = 36
 
 
 class LaurentPoly:
@@ -329,24 +336,38 @@ def series_truncate(r: RatFunc, depth: int) -> GradedTable:
     """Expand r as a q-series and keep q-degrees <= depth.
 
     1/(1-q)**d expands as sum_k C(k+d-1, d-1) q^k.  Raises if any retained
-    coefficient is negative (the series is then not a rank series).
+    coefficient is negative (the series is then not a rank series), and,
+    before expanding, if its coefficient products would pass
+    MAX_SERIES_WORDS.
     """
     if depth < 0:
         raise ValueError("truncation depth must be >= 0")
     d = r.denom_pow
+    terms = [(exp, c) for exp, c in r.num.terms.items() if exp[1] <= depth]
+    # A term q^eq meets the binomials of k = 0 .. depth - eq (only k = 0 when
+    # d = 0).  Each product costs a word plus its factors' words, sizing
+    # every binomial as the largest, C(top + d - 1, top), by lgamma.
+    spans = [depth - eq + 1 if d else 1 for (_, eq, _), _ in terms]
+    top = max(spans, default=1) - 1
+    binomial_bits = (lgamma(top + d) - lgamma(top + 1) - lgamma(d)) / log(2) if d else 0
+    entries = len({(ea, et) for (ea, _, et), _ in terms}) * (top + 1) if d else len(terms)
+    words = entries * _ENTRY_WORDS + sum(
+        span * (1 + int(abs(c).bit_length() + binomial_bits) // 64)
+        for (_, c), span in zip(terms, spans)
+    )
+    if words > MAX_SERIES_WORDS:
+        raise ValueError(
+            f"truncating at q-degree {depth} needs {words} words, "
+            f"past the series budget of {MAX_SERIES_WORDS} words"
+        )
+    binomials = [1]
+    for k in range(1, top + 1):
+        binomials.append(binomials[-1] * (k + d - 1) // k)
     acc: dict[tuple[int, int, int], int] = {}
-    for (ea, eq, et), c in r.num.terms.items():
-        if d == 0:
-            kmax = 0
-        else:
-            kmax = depth - eq
-            if kmax < 0:
-                continue
-        for k in range(0, kmax + 1):
-            if eq + k > depth:
-                break
+    for ((ea, eq, et), c), span in zip(terms, spans):
+        for k in range(span):
             key = (eq + k, et, ea)
-            acc[key] = acc.get(key, 0) + c * (comb(k + d - 1, d - 1) if d else (1 if k == 0 else 0))
+            acc[key] = acc.get(key, 0) + c * binomials[k]
     acc = {k: v for k, v in acc.items() if v != 0}
     for (eq, et, ea), c in acc.items():
         if c < 0:

@@ -25,6 +25,9 @@ from .braid import identity_permutation, longest_permutation, parse_word
 
 
 def _print_table(table: GradedTable) -> None:
+    # A count past Python's digit limit for printing integers fails here,
+    # before any row is written.
+    str(max((c for _, c in table.entries), default=0))
     for (eq, et, ea), c in table.entries:
         mono = f"q^{eq}"
         if et:
@@ -96,7 +99,7 @@ def _cmd_count(args) -> int:
         else longest_permutation(args.strands)
     )
     if args.brute is not None:
-        count = hecke.brute_force_count(b, target, args.brute, threads=args.threads)
+        count = hecke.brute_force_count(b, target, args.brute)
         print(json.dumps({"count": count}) if args.json else count)
         return 0
     poly = hecke.point_count(b, target)
@@ -188,7 +191,7 @@ def _cmd_ors(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        reports = verify.run_verifications(args.suite, threads=args.threads)
+        reports = verify.run_verifications(args.suite)
     except KeyError as exc:
         print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -200,27 +203,11 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.all_passed for r in reports) else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torushom",
         description="Exact torus-link homology, braid-variety point counts, "
         "and curve-singularity cell data.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="worker threads for brute force (at most the CPU count are used)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

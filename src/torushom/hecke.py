@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
@@ -147,6 +145,14 @@ class _Fold:
         return list(map(tuple, (self.keys[rows, None] // self.weight % n + 1).tolist()))
 
 
+class _OverBudget(ValueError):
+    """A fold refused under MAX_LIVE_BYTES, named by the size of a word."""
+
+    def __init__(self, letters: int, strands: int):
+        super().__init__(f"braid word of {letters} letters on {strands} strands needs more "
+                         f"than {MAX_LIVE_BYTES >> 20} MiB for its Hecke fold (the memory budget)")
+
+
 def _fold(b: BraidWord, held: int = 0) -> _Fold:
     """Fold the letters of b into e under the geometric transfer rule: each
     crossing sums over the q points of an affine line of flags, so the
@@ -186,10 +192,7 @@ def _fold(b: BraidWord, held: int = 0) -> _Fold:
             entry = dtype.itemsize
         peak = (len(f.keys) + len(fresh)) * (5 * (r + 1) * entry // 2 + 72)
         if held + peak > MAX_LIVE_BYTES:
-            raise ValueError(
-                f"braid word of {r} letters on {n} strands needs more than "
-                f"{MAX_LIVE_BYTES >> 20} MiB for its Hecke fold (the memory budget)"
-            )
+            raise _OverBudget(r, n)
         if f.arr.dtype != dtype:
             f.arr = f.arr.astype(dtype)
         if len(fresh):  # zero rows for their partners, kept sorted
@@ -258,7 +261,8 @@ def point_count(b: BraidWord, target: Permutation) -> QPoly:
     split at len(b): when the middle falls in the target's word, and when
     both halves have the Demazure product w0, so that both may reach every
     permutation and the combine, which costs rows x columns^2, is dearer
-    than the one fold.  Both folds are held together under MAX_LIVE_BYTES.
+    than the one fold.  Both folds are held together under MAX_LIVE_BYTES,
+    and a refusal names b, not the half that passed the budget.
     """
     if not b.is_positive():
         raise ValueError("point counting requires a positive braid word")
@@ -269,7 +273,10 @@ def point_count(b: BraidWord, target: Permutation) -> QPoly:
     k = len(word) // 2
     if k >= len(b.letters) or _demazure_is_w0(n, word[:k]) and _demazure_is_w0(n, word[k:]):
         return _count(_fold(b), target)
-    return _split_count(n, word, k, permutation_length(target))
+    try:
+        return _split_count(n, word, k, permutation_length(target))
+    except _OverBudget:
+        raise _OverBudget(len(b), n) from None
 
 
 def _split_count(n: int, word, k: int, ell: int) -> QPoly:
@@ -413,12 +420,6 @@ BRUTE_BUDGET = 10**9
 _BATCH_BYTES = 1 << 20
 
 
-def worker_count(threads: int) -> int:
-    """Brute-force worker threads for a requested count: at least one, and
-    no more than the CPUs, since a pool may start one thread per prefix."""
-    return max(1, min(threads, os.cpu_count() or 1))
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -471,55 +472,26 @@ def _products(
         yield from _products(out.reshape(n, n, -1), indices[1:], zs, p, limit)
 
 
-def _enumerate_counts(
-    b: BraidWord, targets: Sequence[Permutation], p: int, threads: int = 1
-) -> list[int]:
+def _enumerate_counts(b: BraidWord, targets: Sequence[Permutation], p: int) -> list[int]:
     n = b.strands
-    indices = [idx for idx, _ in b.letters]
     dtype = _entry_dtype(p)
     zs = np.arange(p, dtype=dtype)[:, None]
     limit = max(1, _BATCH_BYTES // (n * n * dtype.itemsize))
-    # The longest suffix whose p^s tuples fit in one batch is grown inside
-    # each work item; the prefix products before it come in runs of
-    # per_item matrices, so that an item never holds more than limit.
-    suffix = 0
-    while suffix < len(indices) and p ** (suffix + 1) <= limit:
-        suffix += 1
-    split = len(indices) - suffix
-    per_item = max(1, limit // p**suffix)
     eye = np.eye(n, dtype=dtype)[:, :, None]
-    prefixes = _products(eye, indices[:split], zs, p, per_item)
     # P_w puts column w_c - 1 of M in column c, so B_b(z) P_w is upper
     # triangular when M[r, w_c - 1] = 0 for every r > c.
     below = [[(r, w[c] - 1) for c in range(n) for r in range(c + 1, n)] for w in targets]
-
-    def work(prefix: np.ndarray) -> list[int]:
-        counts = [0] * len(targets)
-        for batch in _products(prefix, indices[split:], zs, p, limit):
-            for k, entries in enumerate(below):
-                upper = np.ones(batch.shape[2], dtype=bool)
-                for r, c in entries:
-                    upper &= batch[r, c] == 0
-                counts[k] += int(np.count_nonzero(upper))
-        return counts
-
-    # A word that fits in one batch runs without a pool.
-    workers = min(worker_count(threads), -(-(p**split) // per_item))
-    if workers == 1:
-        partials = [work(prefix) for prefix in prefixes]
-    else:
-        # Hand the pool one prefix run per worker at a time, so that the
-        # prefix products are never all held at once.
-        partials = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            while wave := list(itertools.islice(prefixes, workers)):
-                partials.extend(pool.map(work, wave))
-    return [sum(part[k] for part in partials) for k in range(len(targets))]
+    counts = [0] * len(targets)
+    for batch in _products(eye, [idx for idx, _ in b.letters], zs, p, limit):
+        for k, entries in enumerate(below):
+            upper = np.ones(batch.shape[2], dtype=bool)
+            for r, c in entries:
+                upper &= batch[r, c] == 0
+            counts[k] += int(np.count_nonzero(upper))
+    return counts
 
 
-def brute_force_count(
-    b: BraidWord, target: Permutation, p: int, threads: int = 1
-) -> int:
+def brute_force_count(b: BraidWord, target: Permutation, p: int) -> int:
     """Count tuples z in F_p^r with B_b(z) * P_target upper triangular."""
     if not b.is_positive():
         raise ValueError("brute force requires a positive braid word")
@@ -532,4 +504,4 @@ def brute_force_count(
         raise ValueError(
             f"enumeration budget exceeded: need {p**r} > {BRUTE_BUDGET} tuples"
         )
-    return _enumerate_counts(b, [target], p, threads)[0]
+    return _enumerate_counts(b, [target], p)[0]

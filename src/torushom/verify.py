@@ -180,7 +180,7 @@ def _positive_words(max_strands: int, max_len: int) -> Iterable[BraidWord]:
 
 
 def suite_hecke_vs_brute(
-    max_strands: int = 3, max_len: int = 7, primes=(2, 3, 5), threads: int = 1
+    max_strands: int = 3, max_len: int = 7, primes=(2, 3, 5)
 ) -> VerificationReport:
     s = _Suite("hecke-vs-brute")
     words = list(_positive_words(max_strands, max_len))
@@ -196,7 +196,7 @@ def suite_hecke_vs_brute(
             targets = (identity_permutation(b.strands), longest_permutation(b.strands))
             counts = [point_count(b, t) for t in targets]
             for p in primes:
-                brute = hecke._enumerate_counts(b, targets, p, threads)
+                brute = hecke._enumerate_counts(b, targets, p)
                 for target, count, got in zip(targets, counts, brute):
                     want = count.evaluate(p)
                     if got != want:
@@ -438,16 +438,10 @@ SUITES: dict[str, Callable[[], VerificationReport]] = {
 }
 
 
-def run_verifications(suite: str = "all", threads: int = 1) -> list[VerificationReport]:
+def run_verifications(suite: str = "all") -> list[VerificationReport]:
     """Run one named suite, or all of them in a fixed order."""
-
-    def build(name: str) -> VerificationReport:
-        if name == "hecke-vs-brute":
-            return suite_hecke_vs_brute(threads=threads)
-        return SUITES[name]()
-
     if suite == "all":
-        return [build(name) for name in SUITES]
+        return [run() for run in SUITES.values()]
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(SUITES)} or all")
-    return [build(suite)]
+    return [SUITES[suite]()]

@@ -1,9 +1,11 @@
 import json
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from torushom import algebra
 from torushom.algebra import (
     A,
     GradedTable,
@@ -194,6 +196,42 @@ class TestSeriesTruncate:
         small = series_truncate(r, depth - 1) if depth > 0 else None
         if small is not None:
             assert big.restrict(depth - 1) == small
+
+
+    @given(
+        st.dictionaries(exponents, st.integers(-5, 5), min_size=1, max_size=4),
+        st.integers(0, 3),
+        st.integers(0, 6),
+    )
+    def test_matches_binomial_formula(self, terms, d, depth):
+        # 1/(1-q)^d = sum_k C(k+d-1, d-1) q^k, term by term.
+        r = RatFunc(LaurentPoly(terms), d)
+        want = {}
+        for (ea, eq, et), c in r.num.terms.items():
+            for k in range(depth - eq + 1 if d else min(1, depth - eq + 1)):
+                key = (eq + k, et, ea)
+                want[key] = want.get(key, 0) + c * (comb(k + d - 1, d - 1) if d else 1)
+        want = {key: c for key, c in want.items() if c}
+        if any(c < 0 for c in want.values()):
+            with pytest.raises(ValueError, match="negative"):
+                series_truncate(r, depth)
+        else:
+            assert series_truncate(r, depth).as_dict() == want
+
+    def test_budget_boundary(self, monkeypatch):
+        # 1/(1-q) to q^3: four one-word products and four table entries.
+        r = RatFunc.of(ONE, 1)
+        monkeypatch.setattr(algebra, "MAX_SERIES_WORDS", 4 + 4 * algebra._ENTRY_WORDS)
+        assert series_truncate(r, 3).as_dict() == {(k, 0, 0): 1 for k in range(4)}
+        monkeypatch.setattr(algebra, "MAX_SERIES_WORDS", 3 + 4 * algebra._ENTRY_WORDS)
+        with pytest.raises(ValueError, match="needs 148 words, past the series budget"):
+            series_truncate(r, 3)
+
+    def test_budget_prices_the_binomials(self):
+        # One term and 20,001 products, 740,037 words at one word each; but
+        # the binomials C(k + 10^6 - 1, k) reach 142,010 bits by k = 20,000.
+        with pytest.raises(ValueError, match="series budget"):
+            series_truncate(RatFunc.of(ONE, 10**6), 20000)
 
 
 class TestDegreeDictionary:

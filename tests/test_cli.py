@@ -154,11 +154,18 @@ class TestExitCodes:
         assert code == 2
         assert "coprime" in err
 
-    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
-    def test_threads_below_one_rejected(self, capsys, threads):
-        code, _, err = run(capsys, "--threads", threads, "verify", "hm-paper-tables")
-        assert code == 2
-        assert "argument --threads" in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--threads", "2", "verify", "hecke-vs-brute"],
+            ["count", "--strands", "2", "--word", "1,1,1", "--brute", "3", "--threads", "2"],
+        ],
+    )
+    def test_threads_option_is_gone(self, capsys, argv):
+        # Brute force runs in one thread; no parser accepts --threads.
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("usage: torushom")
 
     def test_torus_over_budget_rejected_quickly(self, capsys):
         start = time.perf_counter()
@@ -254,6 +261,22 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2.0
         assert code == 2
         assert what in err and "module budget" in err
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["0", "14000", "--truncate", "100"], "series budget"),
+            (["0", "9000", "--a0", "--truncate", "9000"], "4300 digits"),
+        ],
+    )
+    def test_truncate_refused_quickly(self, capsys, argv, limit):
+        # The first expansion passes the series budget; the second fits it,
+        # but C(17999, 9000) has more digits than Python prints.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "hhh", "torus", *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and not out
+        assert limit in err
 
     def test_fold_over_budget_rejected(self, capsys):
         # Both halves of this word and the word of w0 reach w0, so the word is

@@ -28,7 +28,6 @@ from torushom.hecke import (
     brute_force_count,
     check_braid_matrix_relation,
     point_count,
-    worker_count,
 )
 
 
@@ -412,6 +411,17 @@ class TestFoldLimits:
             point_count(torus_braid(7, 8), longest_permutation(7))
         assert point_count(torus_braid(2, 3), identity_permutation(2)) == qp({2: 1, 1: -1})
 
+    def test_split_refusal_names_the_word(self, monkeypatch):
+        # T(8,9) at e is split; its first half alone passes a 1 KiB budget,
+        # and the refusal names the caller's 56 letters, not the half's.
+        b, e = torus_braid(8, 9), identity_permutation(8)
+        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", 1 << 10)
+        with pytest.raises(ValueError, match="needs more than") as refused:
+            hecke._fold(BraidWord(8, b.letters[: len(b) // 2]))
+        assert f"of {len(b) // 2} letters" in str(refused.value)
+        with pytest.raises(ValueError, match=f"braid word of {len(b)} letters on 8 strands"):
+            point_count(b, e)
+
     def test_split_folds_are_admitted_together(self, monkeypatch):
         # The second fold is admitted beside the bytes the first one holds.
         seen, fold = [], hecke._fold
@@ -446,24 +456,18 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="prime"):
             brute_force_count(torus_braid(2, 2), identity_permutation(2), 4)
 
-    def test_threads_agree(self):
-        b = torus_braid(3, 3)
-        w0 = longest_permutation(3)
-        assert brute_force_count(b, w0, 3, threads=2) == brute_force_count(b, w0, 3)
-
     def test_threads_agree_across_batches(self):
-        # 5^8 tuples on 3 strands fill several batches, so the pool splits
-        # the work between its threads.
+        # 5^8 tuples on 3 strands fill several batches, whose counts add up.
         b = torus_braid(3, 4)
         assert 5**8 > hecke._BATCH_BYTES // 9
         for w in (identity_permutation(3), longest_permutation(3)):
             want = point_count(b, w).evaluate(5)
-            assert brute_force_count(b, w, 5, threads=2) == brute_force_count(b, w, 5) == want
+            assert brute_force_count(b, w, 5) == want
 
     @pytest.mark.parametrize(
         "p, dtype, b",
         [
-            # p^6 is above the batch size, so these two run the prefix path.
+            # p^6 is above the batch size, so these two fill several batches.
             (11, np.int8, torus_braid(2, 6)),
             (13, np.int16, torus_braid(2, 6)),
             (181, np.int16, BraidWord.make(3, [1, 2])),
@@ -493,13 +497,12 @@ class TestBruteForce:
         [(torus_braid(2, 3), 13), (torus_braid(3, 4), 2), (BraidWord.make(3, [1, 2, 2, 1, 1]), 5)],
     )
     def test_batch_size_does_not_change_counts(self, monkeypatch, batch_bytes, b, p):
-        # Small batches split the word into prefix runs, and below p
-        # matrices a letter's z values into runs as well.
+        # Small batches split a letter's z values into runs, down to one
+        # z value per batch.
         monkeypatch.setattr(hecke, "_BATCH_BYTES", batch_bytes)
         targets = (identity_permutation(b.strands), longest_permutation(b.strands))
         want = [point_count(b, w).evaluate(p) for w in targets]
-        for threads in (1, 2):
-            assert hecke._enumerate_counts(b, targets, p, threads) == want
+        assert hecke._enumerate_counts(b, targets, p) == want
 
     @pytest.mark.parametrize("n, r", [(2, 18), (12, 16)])
     def test_batches_held_to_the_byte_budget(self, monkeypatch, n, r):
@@ -549,12 +552,6 @@ class TestBruteForce:
                                   for i in range(n)]
                             count += all(bp[i][j] % p == 0 for i in range(n) for j in range(i))
                         assert count == brute_force_count(b, w, p), (letters, w, p)
-
-    def test_worker_count_clamped_to_cpus(self, monkeypatch):
-        monkeypatch.setattr(hecke.os, "cpu_count", lambda: 2)
-        assert [worker_count(t) for t in (-1, 0, 1, 2, 3, 5000)] == [1, 1, 1, 2, 2, 2]
-        monkeypatch.setattr(hecke.os, "cpu_count", lambda: None)
-        assert worker_count(8) == 1
 
     def test_non_involutive_target(self):
         # B_1(z1) B_2(z2) P_w upper triangular only for w = (3,1,2), z = 0.
