@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -120,15 +120,24 @@ class _Fold:
     every |coefficient|.  The key of w is sum (w_j - 1) n^(n-1-j): its
     base-n digits are w - 1, and keys order as the permutations do.  Rows
     are sorted by key; one is added when the fold reaches its permutation
-    with a nonzero coefficient, and is never dropped."""
+    with a nonzero coefficient, and is never dropped.  A new fold is e."""
 
     __slots__ = ("weight", "keys", "arr", "bound")
 
-    def __init__(self, n: int, width: int, dtype: np.dtype):
+    def __init__(self, n: int):
         self.weight = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.keys = np.arange(n)[None] @ self.weight
-        self.arr = np.zeros((1, width), dtype=dtype)
-        self.arr[0, 0] = self.bound = 1
+        self.arr = np.ones((1, 1), dtype=recursion._rung(1, _INT_TYPES))
+        self.bound = 1
+
+    def copy(self, width: int, dtype: np.dtype) -> "_Fold":
+        """A fold of the same rows, its array copied into ``width`` columns
+        of ``dtype``; the keys array is shared, since no fold writes into it."""
+        f = object.__new__(_Fold)
+        f.weight, f.keys, f.bound = self.weight, self.keys, self.bound
+        f.arr = np.zeros((len(self.keys), width), dtype=dtype)
+        f.arr[:, : self.arr.shape[1]] = self.arr
+        return f
 
     def partners(self, j: int):
         """For s = s_(j+1) and each row w: whether ws is longer, the key of
@@ -153,48 +162,54 @@ class _OverBudget(ValueError):
                          f"than {MAX_LIVE_BYTES >> 20} MiB for its Hecke fold (the memory budget)")
 
 
-def _fold(b: BraidWord, held: int = 0) -> _Fold:
-    """Fold the letters of b into e under the geometric transfer rule: each
-    crossing sums over the q points of an affine line of flags, so the
-    coefficients are q^len(w) times the T-basis ones.  For a generator s,
-    c'[w] = c[ws] where ws is longer than w, and q (c[w] + c[ws]) - c[w]
-    where it is shorter.
+def _fold(b: BraidWord, held: int = 0, start: _Fold | None = None) -> _Fold:
+    """Fold the letters of b onto the finished fold ``start``, by default e,
+    under the geometric transfer rule: each crossing sums over the q points
+    of an affine line of flags, so the coefficients are q^len(w) times the
+    T-basis ones.  For a generator s, c'[w] = c[ws] where ws is longer than
+    w, and q (c[w] + c[ws]) - c[w] where it is shorter.  The result is a new
+    fold, as wide as start plus len(b) columns; start is never written.
 
     A letter grows the coefficient bound at most 3x.  The array starts as
-    int16; before a letter could pass its type, the bound is tightened to
-    the true maximum, and only if three times that still does not fit is the
-    array widened to int32, int64 and then Python ints.  Every fixed-width
-    type is also capped at the recursion's INT64_HEADROOM.
+    int16, or as start's type; before a letter could pass its type, the
+    bound is tightened to the true maximum, and only if three times that
+    still does not fit is the array widened to int32, int64 and then Python
+    ints.  Every fixed-width type is also capped at the recursion's
+    INT64_HEADROOM.
 
     Raises ValueError before the rows, beside ``held`` bytes held elsewhere,
     would pass MAX_LIVE_BYTES: at the peak of a letter the coefficient array
-    and three half-size temporaries are held, and each row also has its key
-    and about eight index entries.  The old array, held beside the new one
-    while it is widened, is at most half as wide per entry, so that peak
-    covers it.
+    and three half-size temporaries are held, each row priced at the final
+    width, and each row also has its key and about eight index entries.  The
+    old array, held beside the new one while it is copied or widened, is no
+    larger than the new one, so that peak covers it.  The refusal names the
+    letters of start and b together.
     """
     if not b.is_positive():
         raise ValueError("point counting requires a positive braid word")
     n, r = b.strands, len(b.letters)
-    f = _Fold(n, r + 1, recursion._rung(1, _INT_TYPES))
+    f = start if start is not None else _Fold(n)
+    first = f.arr.shape[1]  # degrees are below this before b's first letter
+    width = first + r
     for k, (idx, _) in enumerate(b.letters):
-        j, cols = idx - 1, k + 1  # degrees are at most k so far
+        j, cols = idx - 1, first + k
         up, keys, hit, found = f.partners(j)
         # Nonzero rows whose partner has no row yet.
         missing = np.flatnonzero(~found)
         fresh = missing[(f.arr[missing, :cols] != 0).any(axis=1)]
-        dtype, f.bound = recursion._widen(f.arr, f.bound, 3, _INT_TYPES)
+        dtype, bound = recursion._widen(f.arr, f.bound, 3, _INT_TYPES)
         # Past int64, size each entry by the bound after the last letter,
         # which is below 4^(r - k) times the present one.
         if dtype == object:
-            entry = _int_bytes(f.bound.bit_length() + 2 * (r - k))
+            entry = _int_bytes(bound.bit_length() + 2 * (r - k))
         else:
             entry = dtype.itemsize
-        peak = (len(f.keys) + len(fresh)) * (5 * (r + 1) * entry // 2 + 72)
+        peak = (len(f.keys) + len(fresh)) * (5 * width * entry // 2 + 72)
         if held + peak > MAX_LIVE_BYTES:
-            raise _OverBudget(r, n)
-        if f.arr.dtype != dtype:
-            f.arr = f.arr.astype(dtype)
+            raise _OverBudget(width - 1, n)
+        if k == 0 or f.arr.dtype != dtype:
+            f = f.copy(width, dtype)
+        f.bound = bound
         if len(fresh):  # zero rows for their partners, kept sorted
             new = np.sort(keys[fresh])
             at = np.searchsorted(f.keys, new)
@@ -213,7 +228,7 @@ def _fold(b: BraidWord, held: int = 0) -> _Fold:
         f.arr[d, : cols + 1] = y
         del cu, cd, y, up, keys, hit, found, u, d  # before the next letter allocates
         f.bound *= 3
-    return f
+    return f.copy(width, f.arr.dtype) if f is start else f
 
 
 def _poly(row, ell: int = 0) -> QPoly:
@@ -439,55 +454,128 @@ def _entry_dtype(p: int) -> np.dtype:
     raise ValueError(f"p = {p} is too large for brute force")
 
 
-def _products(
-    batch: np.ndarray, indices: Sequence[int], zs: np.ndarray, p: int, limit: int
-) -> Iterator[np.ndarray]:
-    """Yield the products M * B_i1(z1) ... B_ik(zk) mod p for every matrix M
-    of the entry-major batch (n, n, B) and every z in F_p^k.
-
-    Each letter multiplies the batch size by the number of z values it takes,
-    so the cost is the sum over letters of the batch sizes.  Where p times
-    the batch would pass ``limit`` matrices, the z values of that letter are
-    split into runs, so that no yielded batch holds more than
-    max(limit, B) matrices.
-    """
-    if not indices:
-        yield batch
-        return
+def _extend(batch: np.ndarray, i: int, z: np.ndarray, p: int) -> np.ndarray:
+    """The products M * B_(i+1)(z) mod p for every matrix M of the
+    entry-major batch (n, n, B) and every z of the column z, as one
+    (n, n, len(z) * B) batch, z-major."""
     n, _, size = batch.shape
-    i = indices[0] - 1
-    step = max(1, limit // size)
-    for lo in range(0, p, step):
-        z = zs[lo : lo + step]
-        out = np.empty((n, n, len(z), size), batch.dtype)
-        out[:, :i] = batch[:, :i, None]
-        out[:, i + 2 :] = batch[:, i + 2 :, None]
-        # Right multiplication by B_i(z): column i takes column i + 1, and
-        # column i + 1 becomes column i plus z times column i + 1.
-        out[:, i] = batch[:, i + 1, None]
-        col = out[:, i + 1]
-        np.multiply(z, batch[:, i + 1, None], out=col)
-        col += batch[:, i, None]
-        col %= p
-        yield from _products(out.reshape(n, n, -1), indices[1:], zs, p, limit)
+    out = np.empty((n, n, len(z), size), batch.dtype)
+    out[:, :i] = batch[:, :i, None]
+    out[:, i + 2 :] = batch[:, i + 2 :, None]
+    # Right multiplication by B_(i+1)(z): column i takes column i + 1, and
+    # column i + 1 becomes column i plus z times column i + 1.
+    out[:, i] = batch[:, i + 1, None]
+    col = out[:, i + 1]
+    np.multiply(z, batch[:, i + 1, None], out=col)
+    col += batch[:, i, None]
+    col %= p
+    return out.reshape(n, n, -1)
 
 
-def _enumerate_counts(b: BraidWord, targets: Sequence[Permutation], p: int) -> list[int]:
-    n = b.strands
+def _below(target: Permutation) -> list[tuple[int, int]]:
+    """The entries (r, c) of M that must vanish for M P_target to be upper
+    triangular: P_w puts column w_k - 1 of M in column k, so those are
+    (r, w_k - 1) for every r > k."""
+    n = len(target)
+    return [(r, target[k] - 1) for k in range(n) for r in range(k + 1, n)]
+
+
+def _leaf_test(target: Permutation, i: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Split the test of M B_(i+1)(z) P_target against the entries of M:
+    the entries that must vanish whatever z is (column i of the product is
+    column i + 1 of M, and every other column but i + 1 is M's own), and the
+    rows r where column i + 1 of the product, M[r, i] + z M[r, i + 1], must."""
+    free, rows = [], []
+    for r, c in _below(target):
+        if c == i + 1:
+            rows.append(r)
+        else:
+            free.append((r, i + 1 if c == i else c))
+    return free, rows
+
+
+def _zero(batch: np.ndarray, entries) -> np.ndarray:
+    """Which matrices of the batch vanish at every one of the entries."""
+    ok = np.ones(batch.shape[2], dtype=bool)
+    for r, c in entries:
+        ok &= batch[r, c] == 0
+    return ok
+
+
+def _leaf_counts(batch, i: int, tests, zs: np.ndarray, p: int, limit: int) -> list[int]:
+    """For each (free, rows) test of _leaf_test, the number of pairs (M, z),
+    M in the batch and z in F_p, with M B_(i+1)(z) P_target upper triangular,
+    found without building the products: A + z B is formed, for every z,
+    only on the rows where it is tested and only for the matrices that pass
+    the z-free entries.  The z values run in runs of at most
+    max(limit, matrices) entries."""
+    counts = []
+    for free, rows in tests:
+        live = _zero(batch, free)
+        m = int(np.count_nonzero(live))
+        if not rows or not m:
+            counts.append(0 if rows else p * m)
+            continue
+        # Only the matrices that pass the z-free entries, where some fail.
+        pick = slice(None) if m == len(live) else np.flatnonzero(live)
+        cols = [(batch[r, i][pick], batch[r, i + 1][pick]) for r in rows]
+        count, step = 0, max(1, limit // m)
+        for lo in range(0, p, step):
+            z = zs[lo : lo + step]
+            hit = np.ones((len(z), m), dtype=bool)
+            for a, b in cols:
+                v = z * b
+                v += a
+                v %= p
+                hit &= v == 0
+            count += int(np.count_nonzero(hit))
+        counts.append(count)
+    return counts
+
+
+def _enumerate_counts(
+    words: Sequence[BraidWord], targets: Sequence[Permutation], p: int
+) -> list[list[int]]:
+    """For each word, on one strand count, and each target, the number of z
+    with B_word(z) P_target upper triangular mod p.
+
+    The words' trie is walked depth first from the identity.  Each node's
+    batch is its parent's extended by one letter, split into z runs so that
+    no batch holds more than _BATCH_BYTES of entries; a word's last letter
+    is counted from its parent's batch (_leaf_counts) and never built.  The
+    cost is the sum over the trie's inner nodes of their batch sizes."""
+    if not words:
+        return []
+    n = words[0].strands
+    # A node maps each next letter to the words ending there and its own node.
+    empty, trie = [], {}
+    for k, b in enumerate(words):
+        ends, kids = empty, trie
+        for idx, _ in b.letters:
+            ends, kids = kids.setdefault(idx, ([], {}))
+        ends.append(k)
     dtype = _entry_dtype(p)
     zs = np.arange(p, dtype=dtype)[:, None]
     limit = max(1, _BATCH_BYTES // (n * n * dtype.itemsize))
+    tests = [[_leaf_test(w, i) for w in targets] for i in range(n - 1)]
+    counts = [[0] * len(targets) for _ in words]
+
+    def walk(batch, node):
+        for idx, (ends, kids) in node.items():
+            i = idx - 1
+            if ends:
+                got = _leaf_counts(batch, i, tests[i], zs, p, limit)
+                for k in ends:
+                    counts[k] = [c + g for c, g in zip(counts[k], got)]
+            if kids:
+                step = max(1, limit // batch.shape[2])
+                for lo in range(0, p, step):
+                    walk(_extend(batch, i, zs[lo : lo + step], p), kids)
+
     eye = np.eye(n, dtype=dtype)[:, :, None]
-    # P_w puts column w_c - 1 of M in column c, so B_b(z) P_w is upper
-    # triangular when M[r, w_c - 1] = 0 for every r > c.
-    below = [[(r, w[c] - 1) for c in range(n) for r in range(c + 1, n)] for w in targets]
-    counts = [0] * len(targets)
-    for batch in _products(eye, [idx for idx, _ in b.letters], zs, p, limit):
-        for k, entries in enumerate(below):
-            upper = np.ones(batch.shape[2], dtype=bool)
-            for r, c in entries:
-                upper &= batch[r, c] == 0
-            counts[k] += int(np.count_nonzero(upper))
+    for k in empty:
+        counts[k] = [int(_zero(eye, _below(w))[0]) for w in targets]
+    walk(eye, trie)
     return counts
 
 
@@ -504,4 +592,4 @@ def brute_force_count(b: BraidWord, target: Permutation, p: int) -> int:
         raise ValueError(
             f"enumeration budget exceeded: need {p**r} > {BRUTE_BUDGET} tuples"
         )
-    return _enumerate_counts(b, [target], p)[0]
+    return _enumerate_counts([b], [target], p)[0][0]

@@ -184,23 +184,37 @@ def suite_hecke_vs_brute(
 ) -> VerificationReport:
     s = _Suite("hecke-vs-brute")
     words = list(_positive_words(max_strands, max_len))
-    # Each word is folded once and every count is read from its fold.  Every
-    # cyclic rotation of a word is itself one of the words, so the rotation
-    # check reads the counts the brute-force check already made.
-    fold = functools.cache(hecke._fold)
+    # Each word is folded once, as its last letter folded onto its prefix's
+    # fold, and every count is read from its fold.  Every cyclic rotation of
+    # a word is itself one of the words, so the rotation check reads the
+    # counts the brute-force check already made.
+    folds: dict[BraidWord, hecke._Fold] = {}
+
+    def fold(b: BraidWord) -> hecke._Fold:
+        if b not in folds:
+            if b.letters:
+                prefix = fold(BraidWord(b.strands, b.letters[:-1]))
+                folds[b] = hecke._fold(BraidWord(b.strands, b.letters[-1:]), start=prefix)
+            else:
+                folds[b] = hecke._fold(b)
+        return folds[b]
+
     point_count = functools.cache(lambda b, target: hecke._count(fold(b), target))
 
     def brute_mismatches():
+        # One trie walk per strand count and prime covers all of its words.
         mismatches = []
-        for b in words:
-            targets = (identity_permutation(b.strands), longest_permutation(b.strands))
-            counts = [point_count(b, t) for t in targets]
+        for n in range(1, max_strands + 1):
+            group = [b for b in words if b.strands == n]
+            targets = (identity_permutation(n), longest_permutation(n))
+            polys = [[point_count(b, t) for t in targets] for b in group]
             for p in primes:
-                brute = hecke._enumerate_counts(b, targets, p)
-                for target, count, got in zip(targets, counts, brute):
-                    want = count.evaluate(p)
-                    if got != want:
-                        mismatches.append((b.word_str(), b.strands, target, p, got, want))
+                brute = hecke._enumerate_counts(group, targets, p)
+                for b, counts, got in zip(group, polys, brute):
+                    for target, count, c in zip(targets, counts, got):
+                        want = count.evaluate(p)
+                        if c != want:
+                            mismatches.append((b.word_str(), n, target, p, c, want))
         return mismatches
 
     def divisibility_failures():

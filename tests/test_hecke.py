@@ -43,6 +43,17 @@ def words(max_strands=3, max_len=6):
     )
 
 
+@st.composite
+def word_sets(draw, max_strands=4, max_len=4):
+    """Positive words on one strand count, with the empty word, a duplicate
+    and every prefix of one of them among them, in a random order."""
+    n = draw(st.integers(1, max_strands))
+    letters = st.lists(st.integers(1, max(n - 1, 1)), max_size=max_len if n > 1 else 0)
+    base = draw(st.lists(letters, min_size=1, max_size=5))
+    ws = base + [base[0][:k] for k in range(len(base[0]))] + [base[-1], []]
+    return [BraidWord.make(n, w) for w in draw(st.permutations(ws))]
+
+
 def grid(r, values=range(3)):
     return itertools.product(values, repeat=r)
 
@@ -436,6 +447,59 @@ class TestFoldLimits:
         assert len(seen) == 4 and seen[0] == 0 and seen[2] == seen[1] > 0
 
 
+class TestFoldFromStart:
+    """_fold(suffix, start=_fold(prefix)) is _fold(prefix + suffix), and
+    leaves its start as it was."""
+
+    @staticmethod
+    def check_every_split(b):
+        n, whole = b.strands, hecke._fold(b)
+        types = set()
+        for k in range(len(b.letters) + 1):
+            start = hecke._fold(BraidWord(n, b.letters[:k]))
+            arr, keys, bound = start.arr.copy(), start.keys.copy(), start.bound
+            f = hecke._fold(BraidWord(n, b.letters[k:]), start=start)
+            assert f.arr.dtype == whole.arr.dtype and f.arr.shape == whole.arr.shape
+            assert np.array_equal(f.keys, whole.keys) and np.array_equal(f.arr, whole.arr)
+            assert f.arr is not start.arr
+            assert start.arr.dtype == arr.dtype and np.array_equal(start.arr, arr)
+            assert np.array_equal(start.keys, keys) and start.bound == bound
+            types.add(start.arr.dtype)
+        return types
+
+    @given(words(max_strands=5, max_len=10))
+    @settings(max_examples=60, deadline=None)
+    def test_every_split(self, b):
+        self.check_every_split(b)
+
+    def test_start_past_int16_keeps_climbing(self, monkeypatch):
+        # On this ladder the fold of T(5,6) climbs int16, int32, int64 and
+        # Python ints, so starts of every type are folded onward.
+        TestFoldLimits.short_ladder(monkeypatch, 4, 16, 32)
+        b = torus_braid(5, 6)
+        assert self.check_every_split(b) == {np.dtype(t) for t in (np.int16, np.int32, np.int64, object)}
+        assert hecke._fold(b).arr.dtype == object
+        TestAgainstDictFold.check(b)
+
+    def test_memory_budget_boundary(self, monkeypatch):
+        # Every row is priced at the final width, start's width plus the
+        # suffix's letters; the refusal names both together.
+        b, n = torus_braid(7, 8), 7
+        start = hecke._fold(BraidWord(n, b.letters[:24]))
+        suffix = BraidWord(n, b.letters[24:])
+        f = hecke._fold(suffix, start=start)
+        assert f.arr.shape[1] == 49
+        need = len(f.keys) * (5 * 49 * f.arr.itemsize // 2 + 72)
+        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need)
+        assert np.array_equal(hecke._fold(suffix, start=start).arr, f.arr)
+        refused = "braid word of 48 letters on 7 strands needs more than"
+        with pytest.raises(ValueError, match=refused):
+            hecke._fold(suffix, held=1, start=start)
+        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need - 1)
+        with pytest.raises(ValueError, match=refused):
+            hecke._fold(suffix, start=start)
+
+
 class TestBruteForce:
     def test_sigma3_over_f3(self):
         b = torus_braid(2, 3)
@@ -484,10 +548,16 @@ class TestBruteForce:
         # computed in the narrow type against Python integers.
         batch = np.full((2, 2, 1), p - 1, dtype=dtype)
         zs = np.arange(p, dtype=dtype)[:, None]
-        (out,) = hecke._products(batch, [1], zs, p, p)
+        out = hecke._extend(batch, 0, zs, p)
         assert out.dtype == np.dtype(dtype)
         assert out[:, 1].tolist() == [[(p - 1 + z * (p - 1)) % p for z in range(p)]] * 2
         assert out[:, 0].tolist() == [[p - 1] * p] * 2
+        # A last letter is counted without building it: at w0 on 2 strands
+        # its test is A + z B = (p - 1) + z (p - 1) on row 1, zero at one z.
+        tests = [hecke._leaf_test(longest_permutation(2), 0)]
+        assert tests == [([], [1])]
+        want = sum((p - 1 + z * (p - 1)) % p == 0 for z in range(p))
+        assert hecke._leaf_counts(batch, 0, tests, zs, p, p) == [want] == [1]
         for w in (identity_permutation(b.strands), longest_permutation(b.strands)):
             assert brute_force_count(b, w, p) == point_count(b, w).evaluate(p)
 
@@ -498,11 +568,15 @@ class TestBruteForce:
     )
     def test_batch_size_does_not_change_counts(self, monkeypatch, batch_bytes, b, p):
         # Small batches split a letter's z values into runs, down to one
-        # z value per batch.
+        # z value per batch, in the inner nodes and the last letter alike.
         monkeypatch.setattr(hecke, "_BATCH_BYTES", batch_bytes)
         targets = (identity_permutation(b.strands), longest_permutation(b.strands))
         want = [point_count(b, w).evaluate(p) for w in targets]
-        assert hecke._enumerate_counts(b, targets, p) == want
+        assert hecke._enumerate_counts([b], targets, p) == [want]
+        prefixes = [BraidWord(b.strands, b.letters[:k]) for k in range(len(b.letters) + 1)]
+        assert hecke._enumerate_counts(prefixes, targets, p) == [
+            [point_count(c, w).evaluate(p) for w in targets] for c in prefixes
+        ]
 
     @pytest.mark.parametrize("n, r", [(2, 18), (12, 16)])
     def test_batches_held_to_the_byte_budget(self, monkeypatch, n, r):
@@ -510,15 +584,14 @@ class TestBruteForce:
         # _BATCH_BYTES of matrix entries.
         monkeypatch.setattr(hecke, "_BATCH_BYTES", 1 << 16)
         sizes = []
-        products = hecke._products
+        extend = hecke._extend
 
-        def spy(*args):
-            sizes.append(args[0].nbytes)
-            for batch in products(*args):
-                sizes.append(batch.nbytes)
-                yield batch
+        def spy(batch, i, z, p):
+            out = extend(batch, i, z, p)
+            sizes.extend((batch.nbytes, out.nbytes))
+            return out
 
-        monkeypatch.setattr(hecke, "_products", spy)
+        monkeypatch.setattr(hecke, "_extend", spy)
         b = BraidWord.make(n, [k % (n - 1) + 1 for k in range(r)])
         e = identity_permutation(n)
         assert brute_force_count(b, e, 2) == point_count(b, e).evaluate(2)
@@ -534,13 +607,13 @@ class TestBruteForce:
         for target in (identity_permutation(b.strands), longest_permutation(b.strands)):
             assert brute_force_count(b, target, p) == point_count(b, target).evaluate(p)
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 5])
     def test_definitional_count(self, p):
         # Count z with B_b(z) P_w upper triangular mod p straight from the
         # definition, with P_w[w_j - 1][j] = 1, sharing no code with the
         # column-operation kernel behind brute_force_count.
         for n in range(1, 4):
-            for r in range(5):
+            for r in range(5 if p < 5 else 4):
                 for letters in itertools.product(range(1, n), repeat=r):
                     b = BraidWord.make(n, letters)
                     for w in (identity_permutation(n), longest_permutation(n)):
@@ -552,6 +625,32 @@ class TestBruteForce:
                                   for i in range(n)]
                             count += all(bp[i][j] % p == 0 for i in range(n) for j in range(i))
                         assert count == brute_force_count(b, w, p), (letters, w, p)
+
+    @given(word_sets(), st.sampled_from([2, 3, 5, 7]), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_trie_matches_one_word_counts(self, words, p, rnd):
+        # Duplicates, the empty word and prefixes of other words share the
+        # trie; each count equals the word's own walk and its Hecke count.
+        n = words[0].strands
+        targets = [identity_permutation(n), longest_permutation(n)]
+        skew = [w for w in itertools.permutations(range(1, n + 1)) if inverse_permutation(w) != w]
+        if skew:
+            targets.append(rnd.choice(skew))
+        got = hecke._enumerate_counts(words, targets, p)
+        assert got == [[brute_force_count(b, w, p) for w in targets] for b in words]
+        assert got == [[point_count(b, w).evaluate(p) for w in targets] for b in words]
+
+    @pytest.mark.parametrize("n, r", [(3, 5), (4, 3)])
+    def test_full_trie_at_every_target(self, n, r):
+        # Every word up to r letters: each inner node has n - 1 children,
+        # and every permutation is a target.
+        words = [BraidWord.make(n, ls) for k in range(r + 1)
+                 for ls in itertools.product(range(1, n), repeat=k)]
+        targets = list(itertools.permutations(range(1, n + 1)))
+        got = hecke._enumerate_counts(words, targets, 3)
+        for b, counts in zip(words, got):
+            f = hecke._fold(b)
+            assert counts == [hecke._count(f, w).evaluate(3) for w in targets], b.word_str()
 
     def test_non_involutive_target(self):
         # B_1(z1) B_2(z2) P_w upper triangular only for w = (3,1,2), z = 0.
