@@ -56,6 +56,8 @@ def _refuse_unprintable_root(m: int, n: int) -> None:
 
 def _cmd_hhh(args) -> int:
     m, n = args.m, args.n
+    if args.truncate is not None and (args.reduced or args.census):
+        raise ValueError("--truncate does not apply to --reduced or --census")
     if args.census:
         census = recursion.term_census_a(m, n)
         if args.json:
@@ -215,10 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["torus"])
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--a0", action="store_true", help="a = 0 specialization")
-    p.add_argument("--euler", action="store_true", help="a = 0, t = 1/q")
-    p.add_argument("--reduced", action="store_true", help="reduced knot numerator")
-    p.add_argument("--census", action="store_true", help="a-degree term census")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--a0", action="store_true", help="a = 0 specialization")
+    mode.add_argument("--euler", action="store_true", help="a = 0, t = 1/q")
+    mode.add_argument("--reduced", action="store_true", help="reduced knot numerator")
+    mode.add_argument("--census", action="store_true", help="a-degree term census")
     p.add_argument("--truncate", type=int, metavar="D", help="q-series table")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_hhh)

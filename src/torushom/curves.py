@@ -21,9 +21,9 @@ HILB = "hilb"
 
 # Admission budget for enumerating modules: their number times their window
 # length, in bits (see ``_admit``).  Measured on 2 cores, Jacobian cells cost
-# 0.9-1.6 us and up to 25 bytes of peak RSS per bit, Hilbert levels 0.3-0.7 us
-# and almost no memory, so this bounds one command near 6 s and 130 MB;
-# (10,11), with 1.7 million bits, takes 2.7 s at 90 MB.
+# 0.8-1.6 us and up to 20 bytes of peak RSS per bit over the 28 MB start-up,
+# Hilbert levels 0.5-0.8 us and almost no memory, so this bounds one command
+# near 6 s and 110 MB; (10,11), with 1.7 million bits, takes 1.4-1.8 s at 56 MB.
 MAX_MODULE_BITS = 4_000_000
 
 # Admission budget for the node series, in levels (colengths 0..kmax).  Each
@@ -160,11 +160,12 @@ class GammaModule:
         return self.bits[j]
 
     def minimal_generators(self) -> tuple[int, ...]:
-        m, n = self.sem.m, self.sem.n
+        """The j in the module with neither j - m nor j - n in it."""
+        m, n, bits = self.sem.m, self.sem.n, self.bits
         return tuple(
             j
-            for j in range(self.span)
-            if self.bits[j] and not self.member(j - m) and not self.member(j - n)
+            for j, present in enumerate(bits)
+            if present and not (j >= m and bits[j - m]) and not (j >= n and bits[j - n])
         )
 
     def colength(self) -> int:
@@ -175,18 +176,6 @@ class GammaModule:
                 1 for j in range(self.span) if self.sem.member(j) and not self.bits[j]
             )
         return sum(1 for j in range(self.span) if not self.bits[j])
-
-    def trailing_exponents(self, g: int) -> tuple[int, ...]:
-        """Exponents h > g outside the module (inside the semigroup in hilb
-        mode) that can carry a cell parameter."""
-        out = []
-        for h in range(g + 1, self.span):
-            if self.bits[h]:
-                continue
-            if self.mode == HILB and not self.sem.member(h):
-                continue
-            out.append(h)
-        return tuple(out)
 
     def bits_str(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
@@ -206,6 +195,8 @@ def _admit(m: int, n: int, kmax: Optional[int] = None) -> Semigroup:
     Semigroup.check_generators(m, n)
     levels, window = 1, (m - 1) * (n - 1) + max(m, n)
     if kmax is not None:
+        if kmax < 0:
+            raise ValueError("colength must be >= 0")
         levels, window = kmax + 1, window + kmax
     bits = window
     if bits <= MAX_MODULE_BITS:
@@ -276,8 +267,6 @@ def _hilb_ideal(sem: Semigroup, removed: frozenset) -> GammaModule:
 
 def enumerate_hilb_ideals(m: int, n: int, k: int) -> list[GammaModule]:
     """All semigroup ideals Delta of colength k."""
-    if k < 0:
-        raise ValueError("colength must be >= 0")
     sem = _admit(m, n, k)
     for level in _hilb_levels(sem, k):
         pass
@@ -288,7 +277,6 @@ def enumerate_hilb_ideals(m: int, n: int, k: int) -> list[GammaModule]:
 class CellRecord:
     module: GammaModule
     generators: tuple[int, ...]
-    parameters: tuple[tuple[int, int], ...]
     dimension: int
 
     def to_json(self) -> str:
@@ -307,21 +295,19 @@ def cell_dimension(mod: GammaModule) -> CellRecord:
     With a_r the least element of Delta congruent to r mod m (its
     m-generators), the cell has dimension
         sum_r #{x in A \\ Delta : a_r < x < a_r + n},
-    where A is Z>=0 for a Jacobian module and Gamma for a Hilbert ideal:
-    the exponents that ``trailing_exponents`` lists (Piontkowski;
-    Gorsky-Mazin).  The generators and their trailing exponents, the cell's
-    parameters in canonical form, are reported alongside."""
-    m, n = mod.sem.m, mod.sem.n
-    gens = mod.minimal_generators()
-    params = tuple((g, h) for g in gens for h in mod.trailing_exponents(g))
-    least: dict[int, int] = {}
-    for j, present in enumerate(mod.bits):
-        if present:
-            least.setdefault(j % m, j)
-    dimension = sum(
-        1 for a in least.values() for h in mod.trailing_exponents(a) if h < a + n
-    )
-    return CellRecord(mod, gens, params, dimension)
+    where A is Z>=0 for a Jacobian module and Gamma for a Hilbert ideal
+    (Piontkowski; Gorsky-Mazin).  One pass over the window reads the a_r
+    and the running count below[j] = #{x in A \\ Delta : x < j}; each term
+    is a difference of two counts, as Delta holds every x past the window."""
+    m, n, bits = mod.sem.m, mod.sem.n, mod.bits
+    ambient = mod.mode == JACOBIAN
+    below, least = [0], []
+    for j, present in enumerate(bits):
+        if present and (j < m or not bits[j - m]):
+            least.append(j)
+        below.append(below[-1] + (not present and (ambient or mod.sem.member(j))))
+    dimension = sum(below[min(a + n, len(bits))] - below[a + 1] for a in least)
+    return CellRecord(mod, mod.minimal_generators(), dimension)
 
 
 def jacobian_cells(m: int, n: int) -> list[CellRecord]:

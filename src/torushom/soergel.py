@@ -97,6 +97,8 @@ def hhh0_two_strand(m: int, cutoff: int) -> BigradedDims:
     Keys are (internal degree, homological degree); the homological degree
     of position j from the right is -j.
     """
+    if cutoff < 0:
+        raise ValueError("internal degree cutoff must be >= 0")
     cx = hom_complex_two_strand(m)
     out: dict[tuple[int, int], int] = {}
     for d in range(0, cutoff + 1, 2):

@@ -10,9 +10,9 @@ import time
 from torushom import verify
 
 
-def _run(number: int, suite_name: str, budget_seconds: float, **kwargs):
+def _run(number: int, suite_name: str, budget_seconds: float):
     start = time.perf_counter()
-    report = verify.run_verifications(suite_name, **kwargs)[0]
+    report = verify.run_verifications(suite_name)[0]
     elapsed = time.perf_counter() - start
     status = "PASS" if report.all_passed else "FAIL"
     print(f"{status} criterion {number} [{suite_name}] ({elapsed:.2f}s)")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 import time
@@ -59,6 +60,11 @@ class TestExamples:
         code, out, _ = run(capsys, "hhh", "torus", "1", "1", "--a0", "--truncate", "2")
         assert code == 0
         assert out.splitlines() == ["q^0: 1", "q^1: 1", "q^2: 1"]
+
+    def test_euler_truncate(self, capsys):
+        code, out, _ = run(capsys, "hhh", "torus", "2", "3", "--euler", "--truncate", "3")
+        assert code == 0
+        assert out.splitlines() == ["q^0: 1", "q^1: 1", "q^2: 2", "q^3: 2"]
 
     def test_curve_and_soergel_render(self, capsys):
         code, out, _ = run(capsys, "curve", "hilb", "2", "3", "--max-k", "3")
@@ -122,6 +128,16 @@ class TestJsonOutputs:
         assert code == 0
         assert out.splitlines()[-1].startswith("k=30: 1 + t^2 + 2*t^4")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--a0"], ["--euler"], ["--reduced"], ["--census"]]
+        + [["--truncate", "2"], ["--a0", "--truncate", "2"], ["--euler", "--truncate", "2"]],
+    )
+    def test_every_hhh_mode_in_json(self, capsys, flags):
+        code, out, _ = run(capsys, "hhh", "torus", "2", "3", *flags, "--json")
+        assert code == 0
+        json.loads(out)
+
     def test_verify_json_idempotent(self, capsys):
         def stripped():
             code, out, _ = run(capsys, "verify", "hm-paper-tables", "--json")
@@ -166,6 +182,34 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("usage: torushom")
+
+    @pytest.mark.parametrize(
+        "first,second", itertools.combinations(["--a0", "--euler", "--reduced", "--census"], 2)
+    )
+    def test_hhh_modes_are_exclusive(self, capsys, first, second):
+        # Each mode answers a different question; two of them used to be
+        # answered silently by whichever the command checked first.
+        code, out, err = run(capsys, "hhh", "torus", "3", "4", first, second)
+        assert code == 2 and not out
+        assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("mode", ["--reduced", "--census"])
+    def test_truncate_refused_with_a_polynomial_mode(self, capsys, mode):
+        code, out, err = run(capsys, "hhh", "torus", "3", "4", mode, "--truncate", "3")
+        assert code == 2 and not out
+        assert "--truncate does not apply" in err
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["curve", "hilb", "2", "3", "--max-k", "-1"], "colength must be >= 0"),
+            (["soergel2", "3", "--cutoff", "-5"], "cutoff must be >= 0"),
+        ],
+    )
+    def test_negative_bound_refused(self, capsys, argv, what):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert what in err
 
     def test_torus_over_budget_rejected_quickly(self, capsys):
         start = time.perf_counter()

@@ -38,6 +38,19 @@ CELL_PRIMES = (2, 3, 5)
 _ASSIGNMENT_BUDGET = 10**6
 
 
+def _parameters(cell: CellRecord) -> tuple[tuple[int, int], ...]:
+    """The cell's parameters in canonical form, read off the module's bits:
+    each generator g paired with every exponent h > g outside Delta (and
+    inside Gamma for a Hilbert ideal)."""
+    mod = cell.module
+    outside = [
+        h
+        for h, present in enumerate(mod.bits)
+        if not present and (mod.mode == JACOBIAN or mod.sem.member(h))
+    ]
+    return tuple((g, h) for g in cell.generators for h in outside if h > g)
+
+
 def _module_closes(mod: GammaModule, gens, assignment: dict, p: int) -> bool:
     """Whether the span of the parametrized generators is closed with order
     set exactly the module: build a triangular basis, reducing each product
@@ -74,12 +87,11 @@ def _module_closes(mod: GammaModule, gens, assignment: dict, p: int) -> bool:
         return True
 
     pending: list[int] = []
-    for g in gens:
-        vec = {g: 1}
-        for h in mod.trailing_exponents(g):
-            c = assignment.get((g, h), 0) % p
-            if c:
-                vec[h] = c
+    vecs = {g: {g: 1} for g in gens}
+    for (g, h), c in assignment.items():
+        if c % p:
+            vecs[g][h] = c % p
+    for vec in vecs.values():
         if not insert(vec):
             return False
     while pending:
@@ -97,7 +109,7 @@ def counted_dimension(cell: CellRecord, p_set=CELL_PRIMES) -> int:
     """Certify the attracting cell of a fixed point as an affine space by
     counting closed parameter assignments over each prime field, and return
     its dimension."""
-    mod, gens, params = cell.module, cell.generators, cell.parameters
+    mod, gens, params = cell.module, cell.generators, _parameters(cell)
     dims = []
     for p in p_set:
         if p ** len(params) > _ASSIGNMENT_BUDGET:
@@ -229,6 +241,23 @@ class TestModuleEnumeration:
         gens = sorted(m.minimal_generators() for m in mods)
         assert gens == [(2,), (3, 4)]
 
+    @pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)])
+    def test_minimal_generators_by_membership(self, m, n):
+        # every Jacobian module in both orders, and every Hilbert ideal up to
+        # colength 2 delta + 2, the range the counter sweep covers
+        mods = enumerate_jacobian_modules(m, n) + enumerate_jacobian_modules(n, m)
+        for k in range(2 * semigroup(m, n).delta + 3):
+            mods += enumerate_hilb_ideals(m, n, k)
+        assert {mod.mode for mod in mods} == {JACOBIAN, HILB}
+        for mod in mods:
+            a, b = mod.sem.m, mod.sem.n
+            expected = tuple(
+                j
+                for j in range(mod.span)
+                if mod.member(j) and not mod.member(j - a) and not mod.member(j - b)
+            )
+            assert mod.minimal_generators() == expected, (mod.mode, mod.bits_str())
+
     @given(coprime_pairs, st.integers(0, 5))
     @settings(deadline=None)
     def test_hilb_colength_bookkeeping(self, pair, k):
@@ -267,7 +296,7 @@ class TestCellDimensions:
         by_gens = {m.minimal_generators(): m for m in mods}
         cell = cell_dimension(by_gens[(0,)])
         assert cell.dimension == 3
-        assert [h for (_, h) in cell.parameters] == [1, 2, 5]
+        assert [h for (_, h) in _parameters(cell)] == [1, 2, 5]
 
     def test_jacobian_3_4_fourth_family(self):
         mods = enumerate_jacobian_modules(3, 4)
@@ -279,7 +308,7 @@ class TestCellDimensions:
         by_gens = {m.minimal_generators(): m for m in mods}
         cell = cell_dimension(by_gens[(2,)])
         assert cell.dimension == 1
-        assert cell.parameters == ((2, 3),)
+        assert _parameters(cell) == ((2, 3),)
 
     def test_jacobian_cell_tables(self):
         assert sorted(c.dimension for c in jacobian_cells(2, 3)) == [0, 1]
@@ -388,6 +417,11 @@ class TestSeries:
         num = LaurentPoly({(0, 2 * i, 2 * i): 1 for i in range(3)})
         expected = series_truncate(RatFunc.of(num, 1), 5)
         assert hilb_poincare_series(2, 5, 5) == expected
+
+    def test_negative_colength_refused(self):
+        for call in (hilb_poincare_series, enumerate_hilb_ideals, hilb_level_poincare):
+            with pytest.raises(ValueError, match="colength must be >= 0"):
+                call(2, 3, -1)
 
     def test_series_kmax_zero(self):
         assert hilb_poincare_series(3, 4, 0).as_dict() == {(0, 0, 0): 1}

@@ -65,6 +65,10 @@ class TestHomology:
         }
         assert dims == expected
 
+    def test_negative_cutoff_refused(self):
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            hhh0_two_strand(3, -5)
+
     def test_m0_is_free_module(self):
         dims = hhh0_two_strand(0, 6).as_dict()
         assert dims == {(0, 0): 1, (2, 0): 2, (4, 0): 3, (6, 0): 4}
