@@ -20,7 +20,7 @@ from torushom import (
     term_census_a,
     torus_braid,
 )
-from torushom.algebra import render_poly, render_ratfunc
+from torushom.algebra import render_descending, render_poly, render_ratfunc
 from torushom.braid import identity_permutation
 from torushom.curves import euler_compare, hilb_poincare_series, node_hilb
 
@@ -52,7 +52,7 @@ def braid_variety_tables() -> None:
     e = identity_permutation(2)
     for k in range(1, MAX_SIGMA_POWER + 1):
         count = point_count(torus_braid(2, k), e)
-        print(f"#X(sigma^{k}) = {count.render()}")
+        print(f"#X(sigma^{k}) = {render_descending(count)}")
 
 
 def curve_tables(ors_kmax: int) -> None:

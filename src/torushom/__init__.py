@@ -45,12 +45,9 @@ from .curves import (
 )
 from .hecke import (
     HeckeElement,
-    QPoly,
     braid_hecke_product,
-    braid_matrix,
     braid_transfer_product,
     brute_force_count,
-    check_braid_matrix_relation,
     point_count,
 )
 from .recursion import (

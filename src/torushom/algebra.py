@@ -64,6 +64,13 @@ class LaurentPoly:
     def terms(self) -> dict[Exponent, int]:
         return dict(self._terms)
 
+    @property
+    def coeffs(self) -> dict[int, int]:
+        """{e_q: coefficient} of a polynomial in q alone, such as a point count."""
+        if any(ea or et for ea, _, et in self._terms):
+            raise ValueError(f"{render_poly(self)} is not a polynomial in q alone")
+        return {eq: c for (_, eq, _), c in self._terms.items()}
+
     def items(self):
         """Terms in canonical order: lexicographic on (e_a, e_q, e_t)."""
         return sorted(self._terms.items())
@@ -434,16 +441,26 @@ def _render_monomial(exp: Exponent, coeff: int) -> str:
     return sign + "*".join(parts)
 
 
-def render_poly(p: LaurentPoly) -> str:
-    """Human-readable form, terms ordered by (e_q, e_a, e_t)."""
+def _render_terms(p: LaurentPoly, reverse: bool) -> str:
+    """Terms ordered by (e_q, e_a, e_t), or the reverse."""
     if p.is_zero():
         return "0"
-    terms = sorted(p.terms.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2]))
+    terms = sorted(p.terms.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2]), reverse=reverse)
     out = _render_monomial(*terms[0])
     for exp, c in terms[1:]:
         s = _render_monomial(exp, abs(c))
         out += (" - " if c < 0 else " + ") + s
     return out
+
+
+def render_poly(p: LaurentPoly) -> str:
+    """Human-readable form, terms ordered by (e_q, e_a, e_t)."""
+    return _render_terms(p, reverse=False)
+
+
+def render_descending(p: LaurentPoly) -> str:
+    """render_poly's form from the top q-degree down, as point counts print."""
+    return _render_terms(p, reverse=True)
 
 
 def render_ratfunc(r: RatFunc) -> str:
@@ -467,6 +484,19 @@ def ratfunc_from_json(text: str) -> RatFunc:
         (int(t["a"]), int(t["q"]), int(t["t"])): int(t["c"]) for t in data["num"]
     }
     return RatFunc(LaurentPoly(terms), int(data["denom_pow"]))
+
+
+def q_poly_to_json(p: LaurentPoly) -> str:
+    """{"q_poly": {e: c}} for a polynomial in q alone, dense from q^0 (or its
+    lowest degree, if negative) to its degree."""
+    coeffs = p.coeffs
+    lo, hi = min(0, min(coeffs, default=0)), max(coeffs, default=-1)
+    return json.dumps({"q_poly": {str(e): str(coeffs.get(e, 0)) for e in range(lo, hi + 1)}})
+
+
+def q_poly_from_json(text: str) -> LaurentPoly:
+    data = json.loads(text)["q_poly"]
+    return LaurentPoly({(0, int(e), 0): int(c) for e, c in data.items()})
 
 
 def table_to_json(t: GradedTable) -> str:

@@ -9,13 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
+from math import comb, gcd
 
 from . import curves, hecke, recursion, soergel, verify
 from .algebra import (
     GradedTable,
     RatFunc,
+    q_poly_to_json,
     ratfunc_to_json,
+    render_descending,
     render_poly,
     render_ratfunc,
     series_truncate,
@@ -51,6 +53,25 @@ def _refuse_unprintable_root(m: int, n: int) -> None:
         raise ValueError(
             f"T({m},{n}) has series coefficients of more than {limit} digits, past "
             "Python's limit for printing integers (sys.set_int_max_str_digits)"
+        )
+
+
+def _refuse_unprintable_catalan(m: int, n: int) -> None:
+    """Refuse c(m, n) = C(N, k) / N, for N = m + n and k = min(m, n), before
+    it is computed when Python cannot print it.  C(N, k) >= (N // k)^k >=
+    2^E for E = k (bitlen(N // k) - 1), so c(m, n) >= 10^limit, more digits
+    than sys.get_int_max_str_digits() allows, once E >= 4 limit + bitlen(N).
+    Below that, k < 4 limit + bitlen(N) and C(N, k) < (e N / k)^k has under
+    14 limit + 4 bitlen(N) bits: it is computed at once, and a print past the
+    limit fails at once."""
+    limit = sys.get_int_max_str_digits()
+    k, size = min(m, n), m + n
+    if not limit or k < 1 or gcd(m, n) != 1:
+        return
+    if k * ((size // k).bit_length() - 1) >= 4 * limit + size.bit_length():
+        raise ValueError(
+            f"c({m},{n}) has more than {limit} digits, past Python's limit for "
+            "printing integers (sys.set_int_max_str_digits)"
         )
 
 
@@ -105,7 +126,7 @@ def _cmd_count(args) -> int:
         print(json.dumps({"count": count}) if args.json else count)
         return 0
     poly = hecke.point_count(b, target)
-    print(poly.to_json() if args.json else poly.render())
+    print(q_poly_to_json(poly) if args.json else render_descending(poly))
     return 0
 
 
@@ -163,6 +184,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_catalan(args) -> int:
+    _refuse_unprintable_catalan(args.m, args.n)
     print(curves.rational_catalan(args.m, args.n))
     return 0
 

@@ -15,101 +15,29 @@ elementary crossing matrices and P_w the permutation matrix of the target.
 
 from __future__ import annotations
 
-import itertools
-import json
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from . import recursion
+from .algebra import LaurentPoly, render_descending
 from .braid import BraidWord, Permutation, inverse_permutation, permutation_length
 from .recursion import _INT_TYPES, MAX_LIVE_BYTES, _int_bytes
 
 
-class QPoly:
-    """Polynomial in q with integer coefficients and exponents >= 0."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self._coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-        if any(e < 0 for e in self._coeffs):
-            raise ValueError("negative q-exponent in a point-count polynomial")
-
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
-    def degree(self) -> int:
-        return max(self._coeffs) if self._coeffs else -1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._coeffs.items())))
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return QPoly(out)
-
-    def evaluate(self, x: int) -> int:
-        return sum(c * x**e for e, c in self._coeffs.items())
-
-    def divisible_by_q_minus_1_power(self, k: int) -> bool:
-        """(q - 1)^k divides p exactly when the first k coefficients of its
-        expansion at q = 1, sum_e c_e C(e, i), are zero."""
-        return not any(sum(c * comb(e, i) for e, c in self._coeffs.items()) for i in range(k))
-
-    def render(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = "q" if mag == 1 else f"{mag}*q"
-            else:
-                body = f"q^{e}" if mag == 1 else f"{mag}*q^{e}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
-
-    def to_json(self) -> str:
-        dense = {str(e): str(self._coeffs.get(e, 0)) for e in range(self.degree() + 1)}
-        return json.dumps({"q_poly": dense})
-
-    @staticmethod
-    def from_json(text: str) -> "QPoly":
-        data = json.loads(text)["q_poly"]
-        return QPoly({int(e): int(c) for e, c in data.items()})
-
-    def __repr__(self) -> str:
-        return f"QPoly({self.render()!r})"
-
-
 @dataclass(frozen=True)
 class HeckeElement:
-    """Sparse map Permutation -> QPoly; all keys share one strand count."""
+    """Sparse map Permutation -> polynomial in q; all keys share one strand count."""
 
     strands: int
-    support: tuple[tuple[Permutation, QPoly], ...]
+    support: tuple[tuple[Permutation, LaurentPoly], ...]
 
-    def as_dict(self) -> dict[Permutation, QPoly]:
+    def as_dict(self) -> dict[Permutation, LaurentPoly]:
         return dict(self.support)
 
-    def coefficient(self, w: Permutation) -> QPoly:
-        return self.as_dict().get(w, QPoly())
+    def coefficient(self, w: Permutation) -> LaurentPoly:
+        return self.as_dict().get(w, LaurentPoly())
 
 
 # -- transfer fold -------------------------------------------------------------
@@ -231,9 +159,16 @@ def _fold(b: BraidWord, held: int = 0, start: _Fold | None = None) -> _Fold:
     return f.copy(width, f.arr.dtype) if f is start else f
 
 
-def _poly(row, ell: int = 0) -> QPoly:
-    """The polynomial of a coefficient row, divided by q^ell."""
-    return QPoly({e - ell: c for e, c in enumerate(row.tolist()) if c})
+def _poly(row, ell: int = 0) -> LaurentPoly:
+    """The polynomial in q of a coefficient row, divided exactly by q^ell.
+    Raises ArithmeticError where q^ell does not divide it, which a correct
+    fold never gives."""
+    coeffs = row.tolist()
+    if any(coeffs[:ell]):
+        raise ArithmeticError(
+            f"divisibility violated: {render_descending(_poly(row))} is not divisible by q^{ell}"
+        )
+    return LaurentPoly({(0, e - ell, 0): c for e, c in enumerate(coeffs) if c})
 
 
 def _element(b: BraidWord, divide: bool) -> HeckeElement:
@@ -258,7 +193,7 @@ def braid_hecke_product(b: BraidWord) -> HeckeElement:
     return _element(b, divide=True)
 
 
-def point_count(b: BraidWord, target: Permutation) -> QPoly:
+def point_count(b: BraidWord, target: Permutation) -> LaurentPoly:
     """#X(b; target) over F_q as a polynomial in q.
 
     It is the T-basis coefficient of T_b at target^-1, which the symmetrising
@@ -294,18 +229,13 @@ def point_count(b: BraidWord, target: Permutation) -> QPoly:
         raise _OverBudget(len(b), n) from None
 
 
-def _split_count(n: int, word, k: int, ell: int) -> QPoly:
+def _split_count(n: int, word, k: int, ell: int) -> LaurentPoly:
     """q^-ell tau(T_word) from the folds of word[:k] and of word[k:] reversed."""
     front = _fold(BraidWord(n, word[:k]))
     # recursion._nbytes prices any arr under a coefficient bound, a fold's too.
     held = recursion._nbytes(front) + front.keys.nbytes
     back = _fold(BraidWord(n, word[k:][::-1]), held=held)
-    out = _trace(front, back)
-    if out[:ell].any():
-        raise ArithmeticError(
-            f"divisibility violated: trace {_poly(out).render()} is not divisible by q^{ell}"
-        )
-    return _poly(out, ell)
+    return _poly(_trace(front, back), ell)
 
 
 def _reduced_word(x: Permutation) -> list[int]:
@@ -362,7 +292,7 @@ def _trace(f: _Fold, g: _Fold) -> np.ndarray:
     return out
 
 
-def _count(f: _Fold, target: Permutation) -> QPoly:
+def _count(f: _Fold, target: Permutation) -> LaurentPoly:
     """#X(b; target) read from the finished fold f of b.
 
     Extracts the transfer-product coefficient at target^{-1} and divides it
@@ -372,60 +302,7 @@ def _count(f: _Fold, target: Permutation) -> QPoly:
     """
     rows = f.arr[f.keys == (np.array(inverse_permutation(target)) - 1) @ f.weight]
     row = rows[0] if len(rows) else np.zeros(0, dtype=np.int64)
-    ell = permutation_length(target)
-    if row[:ell].any():
-        raise ArithmeticError(
-            f"divisibility violated: transfer coefficient {_poly(row).render()} "
-            f"is not divisible by q^{ell}"
-        )
-    return _poly(row, ell)
-
-
-# -- braid matrices over Z ----------------------------------------------------
-
-def _identity_matrix(n: int) -> list[list[int]]:
-    return [[int(r == c) for c in range(n)] for r in range(n)]
-
-
-def _elementary_matrix(n: int, i: int, z: int) -> list[list[int]]:
-    """Identity with the 2x2 block [[0,1],[1,z]] at rows/cols i, i+1."""
-    m = _identity_matrix(n)
-    m[i - 1][i - 1], m[i - 1][i], m[i][i - 1], m[i][i] = 0, 1, 1, z
-    return m
-
-
-def braid_matrix(b: BraidWord, z: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Exact product over Z of the elementary matrices B_{i_k}(z_k) in word
-    order."""
-    if not b.is_positive():
-        raise ValueError("braid matrices are defined for positive words")
-    if len(z) != len(b.letters):
-        raise ValueError(f"need {len(b.letters)} values of z, got {len(z)}")
-    n = b.strands
-    m = _identity_matrix(n)
-    for (idx, _), zk in zip(b.letters, z):
-        e = _elementary_matrix(n, idx, zk)
-        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*e)] for row in m]
-    return tuple(map(tuple, m))
-
-
-def check_braid_matrix_relation(i: int, n: int) -> bool:
-    """B_i(z1) B_{i+1}(z2) B_i(z3) == B_{i+1}(z3) B_i(z2 - z1 z3) B_{i+1}(z1).
-
-    Every entry of either side is a polynomial of degree <= 2 in each z_j
-    (z1 and z3 enter the right side twice, everything else once), and such a
-    polynomial that vanishes on S^3 for a set S of three values is zero. So
-    agreement on the grid {0,1,2}^3 proves the identity over Z.
-    """
-    if not 1 <= i <= n - 2:
-        raise ValueError("need 1 <= i <= n-2")
-    lhs_word = BraidWord.make(n, [i, i + 1, i])
-    rhs_word = BraidWord.make(n, [i + 1, i, i + 1])
-    return all(
-        braid_matrix(lhs_word, (z1, z2, z3))
-        == braid_matrix(rhs_word, (z3, z2 - z1 * z3, z1))
-        for z1, z2, z3 in itertools.product(range(3), repeat=3)
-    )
+    return _poly(row, permutation_length(target))
 
 
 # -- brute force over a prime field ------------------------------------------
@@ -580,16 +457,20 @@ def _enumerate_counts(
 
 
 def brute_force_count(b: BraidWord, target: Permutation, p: int) -> int:
-    """Count tuples z in F_p^r with B_b(z) * P_target upper triangular."""
+    """Count tuples z in F_p^r with B_b(z) * P_target upper triangular.
+
+    p is tested for primality, by trial division up to sqrt(p), only once
+    the entry type and the tuple budget admit it, so below about 3.04e9."""
     if not b.is_positive():
         raise ValueError("brute force requires a positive braid word")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if len(target) != b.strands:
         raise ValueError("target permutation size does not match strand count")
+    _entry_dtype(p)
     r = len(b.letters)
     if p**r > BRUTE_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded: need {p**r} > {BRUTE_BUDGET} tuples"
         )
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return _enumerate_counts([b], [target], p)[0][0]

@@ -14,11 +14,20 @@ bases, independently of the recursion pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .algebra import RatFunc, qta_degree_from_QTA, series_truncate
 
 MULT = "x1-x2"
 ZERO = "zero"
+
+# Admission budget for hhh0_two_strand, in steps: monomials built plus
+# entry updates of the Bareiss rank, as ``_steps`` bounds them.  On 2 cores
+# a step cost 45-110 ns at 30-34 MB peak RSS: `soergel2 3 --cutoff 200`
+# (5.2e7 steps) took 3.8-4.2 s, `soergel2 100 --cutoff 140` (5.2e7) 4.9-5.5 s
+# and `soergel2 0 --cutoff 21900` (6.0e7) 6.8 s, so this bounds one call
+# near 7 s and 35 MB.
+MAX_TWO_STRAND_STEPS = 60_000_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,25 @@ def _rank(matrix: list[list[int]]) -> int:
     return rank
 
 
+def _steps(m: int, cutoff: int) -> int:
+    """A bound on the steps of hhh0_two_strand(m, cutoff).  Position j is
+    visited in each degree 2D with j <= D <= h = cutoff // 2, at s = D - j.
+    There it builds the s + 1 monomials of its degree and, if m >= 1, runs at
+    most one rank, on the matrix of x1 - x2 out of degree 2s or 2s - 2: at
+    most 2s + 3 monomials and (s + 1)^2 (s + 2) / 2 entry updates, below
+    (s + 2)^3 / 2.  Over s <= x = h - j these sum to C(x + 2, 2) and below
+    S3(x + 2) / 2, S3(y) = (y (y + 1) / 2)^2; over j <= min(m, h), to
+    differences of C(x + 3, 3) and of P(y) = S3(0) + ... + S3(y)."""
+    h = cutoff // 2
+    lo = h - min(m, h)  # x runs over lo..h
+
+    def p(y: int) -> int:
+        return y * (y + 1) * (y + 2) * (3 * y * y + 6 * y + 1) // 60
+
+    ranks = (p(h + 2) - p(lo + 1)) // 2 if m >= 1 else 0
+    return comb(h + 3, 3) - comb(lo + 2, 3) + ranks
+
+
 @dataclass(frozen=True)
 class BigradedDims:
     """Map (internal degree, homological degree) -> dim, complete for
@@ -95,18 +123,24 @@ def hhh0_two_strand(m: int, cutoff: int) -> BigradedDims:
     """Bigraded homology dimensions of the two-strand complex for T(2, m).
 
     Keys are (internal degree, homological degree); the homological degree
-    of position j from the right is -j.
+    of position j from the right is -j.  Raises ValueError before computing
+    when its steps could pass MAX_TWO_STRAND_STEPS.
     """
     if cutoff < 0:
         raise ValueError("internal degree cutoff must be >= 0")
-    cx = hom_complex_two_strand(m)
+    if _steps(m, cutoff) > MAX_TWO_STRAND_STEPS:
+        raise ValueError(
+            f"the T(2,{m}) table to internal degree {cutoff} needs more than "
+            f"{MAX_TWO_STRAND_STEPS} steps (the two-strand budget)"
+        )
+    # Position j sits in internal degrees >= 2j, so only the positions up to
+    # cutoff / 2 are built and visited.
+    cx = hom_complex_two_strand(min(m, cutoff // 2))
     out: dict[tuple[int, int], int] = {}
     for d in range(0, cutoff + 1, 2):
-        for j in range(m + 1):
+        for j in range(min(cx.length, d // 2) + 1):
             local = d - 2 * j  # internal degree inside R(-2j)
             dim_here = len(_monomials(local))
-            if dim_here == 0:
-                continue
             # Outgoing differential (position j -> j-1).
             if j == 0:
                 ker = dim_here
@@ -116,7 +150,7 @@ def hhh0_two_strand(m: int, cutoff: int) -> BigradedDims:
                 ker = dim_here
             # Incoming differential (position j+1 -> j).
             img = 0
-            if j + 1 <= m and cx.labels[j] == MULT:
+            if j + 1 <= cx.length and cx.labels[j] == MULT:
                 incoming = d - 2 * (j + 1)
                 if incoming >= 0:
                     img = _rank(_mult_matrix(incoming))

@@ -16,10 +16,13 @@ from torushom.algebra import (
     T,
     divide_by_one_minus_q,
     divide_by_one_plus_a,
+    q_poly_from_json,
+    q_poly_to_json,
     qta_degree_from_QTA,
     ratfunc_from_json,
     ratfunc_normalize,
     ratfunc_to_json,
+    render_descending,
     render_poly,
     render_ratfunc,
     series_truncate,
@@ -53,6 +56,17 @@ class TestLaurentArithmetic:
 
     def test_cancellation(self):
         assert (T + Q) + (-Q) == T
+
+    def test_coeffs_in_q_alone(self):
+        p = Q * Q - Q
+        assert p.coeffs == {2: 1, 1: -1}
+        p.coeffs[0] = 7
+        assert p.coeffs == {2: 1, 1: -1} and LaurentPoly.zero().coeffs == {}
+        with pytest.raises(AttributeError):
+            p.coeffs = {}
+        for p in (A, T, Q + A * Q, mono(1, eq=1, et=-1)):
+            with pytest.raises(ValueError, match="not a polynomial in q alone"):
+                p.coeffs
 
     def test_negative_a_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -280,6 +294,18 @@ class TestRendering:
         payload = json.loads(ratfunc_to_json(r))
         assert payload["denom_pow"] == 2
         assert all(isinstance(t["c"], str) for t in payload["num"])
+
+    def test_q_descending_text(self):
+        # render_poly's monomials, from the top q-degree down.
+        p = Q * Q - Q - ONE
+        assert render_poly(p) == "-1 - q + q^2"
+        assert render_descending(p) == "q^2 - q - 1"
+        assert render_descending(mono(-2, eq=3) + mono(5, eq=-1)) == "-2*q^3 + 5*q^-1"
+
+    @given(st.dictionaries(st.integers(-3, 5), st.integers(-9, 9), max_size=6))
+    def test_json_roundtrip_q_poly(self, coeffs):
+        p = LaurentPoly({(0, e, 0): c for e, c in coeffs.items()})
+        assert q_poly_from_json(q_poly_to_json(p)) == p
 
     def test_json_roundtrip_table(self):
         t = GradedTable.build({(0, 0, 0): 1, (2, -1, 1): 3}, 4)

@@ -5,10 +5,9 @@ import time
 
 import pytest
 
-from torushom.algebra import ratfunc_from_json, table_from_json
+from torushom.algebra import Q, RatFunc, q_poly_from_json, ratfunc_from_json, table_from_json
 from torushom.braid import half_twist, torus_braid
 from torushom.cli import dispatch
-from torushom.hecke import QPoly
 
 
 def run(capsys, *argv):
@@ -97,7 +96,7 @@ class TestJsonOutputs:
         )
         assert code == 0
         assert out.strip() == '{"q_poly": {"0": "0", "1": "-1", "2": "1"}}'
-        assert QPoly.from_json(out) == QPoly({2: 1, 1: -1})
+        assert q_poly_from_json(out) == Q * Q - Q
 
     def test_table_json_roundtrip(self, capsys):
         code, out, _ = run(capsys, "curve", "node", "--max-k", "4", "--json")
@@ -322,6 +321,43 @@ class TestExitCodes:
         assert code == 2 and not out
         assert limit in err
 
+    @pytest.mark.parametrize("word", ["1", ""])
+    def test_brute_huge_prime_rejected_quickly(self, capsys, word):
+        # 10000000000000000051 is prime: trial division would take about 3e9
+        # steps, but no fixed-width type holds its entries.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "count", "--strands", "2", "--word", word, "--brute", "10000000000000000051"
+        )
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and not out
+        assert "p = 10000000000000000051 is too large for brute force" in err
+
+    @pytest.mark.parametrize("m,n", [(1000000, 1000001), (10000000, 10000001)])
+    def test_unprintable_catalan_rejected_quickly(self, capsys, m, n):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "catalan", str(m), str(n))
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and not out
+        assert f"c({m},{n}) has more than 4300 digits" in err
+
+    def test_soergel_over_budget_rejected_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "soergel2", "3", "--cutoff", "1" + "0" * 30)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and not out
+        assert "two-strand budget" in err
+
+    def test_soergel_long_complex_answers_quickly(self, capsys):
+        # Positions past cutoff / 2 have no internal degree <= cutoff, so the
+        # table of T(2, 10^9) is built from its first three positions.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "soergel2", "1000000000", "--cutoff", "4")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert out == run(capsys, "soergel2", "5", "--cutoff", "4")[1]
+        assert out.splitlines() == ["Q^0 T^0: 1", "Q^2 T^0: 1", "Q^4 T^-2: 1", "Q^4 T^0: 1"]
+
     def test_fold_over_budget_rejected(self, capsys):
         # Both halves of this word and the word of w0 reach w0, so the word is
         # folded alone, and that fold would reach 10! rows.
@@ -339,7 +375,7 @@ class TestExitCodes:
         code, out, _ = run(capsys, "count", "--strands", "10", "--word", word, "--json")
         assert time.perf_counter() - start < 1.0
         assert code == 0
-        assert QPoly.from_json(out).divisible_by_q_minus_1_power(9)
+        assert RatFunc.of(q_poly_from_json(out), 9).denom_pow == 0
 
     @pytest.mark.parametrize("target,count", [("w0", "1"), ("e", "0")])
     def test_twelve_strand_half_twist(self, capsys, target, count):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -7,6 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torushom import hecke, recursion
+from torushom.algebra import (
+    ONE,
+    ONE_MINUS_Q,
+    Q,
+    LaurentPoly,
+    RatFunc,
+    q_poly_from_json,
+    q_poly_to_json,
+    render_descending,
+)
 from torushom.braid import (
     BraidWord,
     apply_gen,
@@ -21,18 +32,25 @@ from torushom.braid import (
 )
 from torushom.hecke import (
     HeckeElement,
-    QPoly,
     braid_hecke_product,
     braid_transfer_product,
-    braid_matrix,
     brute_force_count,
-    check_braid_matrix_relation,
     point_count,
 )
 
 
 def qp(coeffs):
-    return QPoly(coeffs)
+    """The polynomial in q with coefficients {e_q: c}."""
+    return LaurentPoly({(0, e, 0): c for e, c in coeffs.items()})
+
+
+def at(p, x):
+    """The value of a polynomial in q at q = x."""
+    return sum(c * x**e for e, c in p.coeffs.items())
+
+
+def divisible_by_q_minus_1_power(p, k):
+    return RatFunc.of(p, k).denom_pow == 0
 
 
 def words(max_strands=3, max_len=6):
@@ -56,6 +74,53 @@ def word_sets(draw, max_strands=4, max_len=4):
 
 def grid(r, values=range(3)):
     return itertools.product(values, repeat=r)
+
+
+# -- braid matrices over Z: the definitional oracle ---------------------------
+
+def _identity_matrix(n: int) -> list[list[int]]:
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def _elementary_matrix(n: int, i: int, z: int) -> list[list[int]]:
+    """Identity with the 2x2 block [[0,1],[1,z]] at rows/cols i, i+1."""
+    m = _identity_matrix(n)
+    m[i - 1][i - 1], m[i - 1][i], m[i][i - 1], m[i][i] = 0, 1, 1, z
+    return m
+
+
+def braid_matrix(b: BraidWord, z: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Exact product over Z of the elementary matrices B_{i_k}(z_k) in word
+    order."""
+    if not b.is_positive():
+        raise ValueError("braid matrices are defined for positive words")
+    if len(z) != len(b.letters):
+        raise ValueError(f"need {len(b.letters)} values of z, got {len(z)}")
+    n = b.strands
+    m = _identity_matrix(n)
+    for (idx, _), zk in zip(b.letters, z):
+        e = _elementary_matrix(n, idx, zk)
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*e)] for row in m]
+    return tuple(map(tuple, m))
+
+
+def check_braid_matrix_relation(i: int, n: int) -> bool:
+    """B_i(z1) B_{i+1}(z2) B_i(z3) == B_{i+1}(z3) B_i(z2 - z1 z3) B_{i+1}(z1).
+
+    Every entry of either side is a polynomial of degree <= 2 in each z_j
+    (z1 and z3 enter the right side twice, everything else once), and such a
+    polynomial that vanishes on S^3 for a set S of three values is zero. So
+    agreement on the grid {0,1,2}^3 proves the identity over Z.
+    """
+    if not 1 <= i <= n - 2:
+        raise ValueError("need 1 <= i <= n-2")
+    lhs_word = BraidWord.make(n, [i, i + 1, i])
+    rhs_word = BraidWord.make(n, [i + 1, i, i + 1])
+    return all(
+        braid_matrix(lhs_word, (z1, z2, z3))
+        == braid_matrix(rhs_word, (z3, z2 - z1 * z3, z1))
+        for z1, z2, z3 in itertools.product(range(3), repeat=3)
+    )
 
 
 class TestSymbolicMatrices:
@@ -148,6 +213,22 @@ class TestPointCount:
         with pytest.raises(ValueError):
             point_count(BraidWord.make(2, [-1]), (1, 2))
 
+    def test_remainder_below_q_ell_raises(self, monkeypatch):
+        # Every reading divides a row by q^ell through one check, which a
+        # correct fold always passes.
+        assert hecke._poly(np.array([0, 0, 3, -1]), 2) == qp({0: 3, 1: -1})
+        refused = r"divisibility violated: q\^2 - q is not divisible by q\^2"
+        with pytest.raises(ArithmeticError, match=refused):
+            hecke._poly(np.array([0, -1, 1]), 2)
+        # sigma^3: the transfer coefficient at (2,1) is q^3 - q^2 + q.
+        f = hecke._fold(torus_braid(2, 3))
+        f.arr[f.keys == 2, 0] = 1
+        with pytest.raises(ArithmeticError, match="not divisible by q\\^1"):
+            hecke._count(f, (2, 1))
+        monkeypatch.setattr(hecke, "_trace", lambda f, g: np.array([1, -1, 1]))
+        with pytest.raises(ArithmeticError, match="not divisible by q\\^1"):
+            hecke._split_count(2, ((1, 1),) * 4, 2, 1)
+
     @given(words(max_strands=3, max_len=5), st.integers(0, 6))
     @settings(max_examples=30, deadline=None)
     def test_trace_rotation_invariance(self, b, k):
@@ -194,7 +275,7 @@ def dict_fold(b):
                 bump(ws, c)
         support = {w: {e: v for e, v in c.items() if v} for w, c in out.items()}
         support = {w: c for w, c in support.items() if c}
-    return HeckeElement(b.strands, tuple(sorted((w, QPoly(c)) for w, c in support.items())))
+    return HeckeElement(b.strands, tuple(sorted((w, qp(c)) for w, c in support.items())))
 
 
 class TestAgainstDictFold:
@@ -204,7 +285,7 @@ class TestAgainstDictFold:
     def check(b):
         mass = dict_fold(b)
         assert braid_transfer_product(b) == mass
-        scaled = tuple((w, QPoly({e - permutation_length(w): c for e, c in p.coeffs.items()}))
+        scaled = tuple((w, qp({e - permutation_length(w): c for e, c in p.coeffs.items()}))
                        for w, p in mass.support)
         assert braid_hecke_product(b) == HeckeElement(b.strands, scaled)
         n = b.strands
@@ -212,7 +293,7 @@ class TestAgainstDictFold:
                        tuple(range(2, n + 1)) + (1,)):
             coeff = mass.coefficient(inverse_permutation(target)).coeffs
             ell = permutation_length(target)
-            assert point_count(b, target) == QPoly({e - ell: c for e, c in coeff.items()})
+            assert point_count(b, target) == qp({e - ell: c for e, c in coeff.items()})
 
     @given(words(max_strands=5, max_len=12))
     @settings(max_examples=150, deadline=None)
@@ -253,7 +334,7 @@ class TestTraceSplit:
                        tuple(range(2, n + 1)) + (1,), tuple(rnd.sample(range(1, n + 1), n))):
             ell = permutation_length(target)
             coeff = mass.coefficient(inverse_permutation(target)).coeffs
-            expected = QPoly({e - ell: c for e, c in coeff.items()})
+            expected = qp({e - ell: c for e, c in coeff.items()})
             assert hecke._count(f, target) == expected
             word = self.word(b, target)
             for k in range(len(word) + 1):
@@ -285,7 +366,7 @@ class TestTraceSplit:
         b, e = torus_braid(m, m + 1), identity_permutation(m)
         counts = {point_count(cyclic_rotate(b, k), e) for k in (0, 1, 13, 31, 50)}
         assert len(counts) == 1
-        assert counts.pop().divisible_by_q_minus_1_power(m - 1)
+        assert divisible_by_q_minus_1_power(counts.pop(), m - 1)
 
     def test_t89_against_the_full_fold(self):
         b, e = torus_braid(8, 9), identity_permutation(8)
@@ -305,7 +386,7 @@ class TestTraceSplit:
         # For every m <= 9 that fold gives q^(m(m-1)/2) (q - 1)^(m-1).
         b, e = torus_braid(m, m + 1), identity_permutation(m)
         count = point_count(b, e)
-        assert count.divisible_by_q_minus_1_power(m - 1)
+        assert divisible_by_q_minus_1_power(count, m - 1)
         expected = qp({m * (m - 1) // 2: 1})
         for _ in range(m - 1):
             expected = expected * qp({1: 1, 0: -1})
@@ -326,15 +407,8 @@ class TestRecursionBridge:
         c = math.gcd(m, n)
         series = recursion.euler_a0(m, n)
         assert series.denom_pow <= c
-        numerator = {}
-        for (ea, eq, et), coeff in series.num.items():
-            assert ea == et == 0
-            numerator[eq] = coeff
-        right = QPoly(numerator)
-        for _ in range(c - series.denom_pow):
-            right = right * qp({0: 1, 1: -1})
-        for _ in range(m - c):
-            right = right * qp({1: 1, 0: -1})
+        assert all(ea == et == 0 for ea, _, et in series.num.terms)
+        right = series.num * ONE_MINUS_Q ** (c - series.denom_pow) * (Q - ONE) ** (m - c)
         b = torus_braid(m, n).concat(half_twist(m))
         assert point_count(b, longest_permutation(m)) == right
 
@@ -525,7 +599,7 @@ class TestBruteForce:
         b = torus_braid(3, 4)
         assert 5**8 > hecke._BATCH_BYTES // 9
         for w in (identity_permutation(3), longest_permutation(3)):
-            want = point_count(b, w).evaluate(5)
+            want = at(point_count(b, w), 5)
             assert brute_force_count(b, w, 5) == want
 
     @pytest.mark.parametrize(
@@ -559,7 +633,7 @@ class TestBruteForce:
         want = sum((p - 1 + z * (p - 1)) % p == 0 for z in range(p))
         assert hecke._leaf_counts(batch, 0, tests, zs, p, p) == [want] == [1]
         for w in (identity_permutation(b.strands), longest_permutation(b.strands)):
-            assert brute_force_count(b, w, p) == point_count(b, w).evaluate(p)
+            assert brute_force_count(b, w, p) == at(point_count(b, w), p)
 
     @pytest.mark.parametrize("batch_bytes", [1, 24, 200, 1 << 20])
     @pytest.mark.parametrize(
@@ -571,11 +645,11 @@ class TestBruteForce:
         # z value per batch, in the inner nodes and the last letter alike.
         monkeypatch.setattr(hecke, "_BATCH_BYTES", batch_bytes)
         targets = (identity_permutation(b.strands), longest_permutation(b.strands))
-        want = [point_count(b, w).evaluate(p) for w in targets]
+        want = [at(point_count(b, w), p) for w in targets]
         assert hecke._enumerate_counts([b], targets, p) == [want]
         prefixes = [BraidWord(b.strands, b.letters[:k]) for k in range(len(b.letters) + 1)]
         assert hecke._enumerate_counts(prefixes, targets, p) == [
-            [point_count(c, w).evaluate(p) for w in targets] for c in prefixes
+            [at(point_count(c, w), p) for w in targets] for c in prefixes
         ]
 
     @pytest.mark.parametrize("n, r", [(2, 18), (12, 16)])
@@ -594,7 +668,7 @@ class TestBruteForce:
         monkeypatch.setattr(hecke, "_extend", spy)
         b = BraidWord.make(n, [k % (n - 1) + 1 for k in range(r)])
         e = identity_permutation(n)
-        assert brute_force_count(b, e, 2) == point_count(b, e).evaluate(2)
+        assert brute_force_count(b, e, 2) == at(point_count(b, e), 2)
         assert (1 << 15) < max(sizes) <= 1 << 16
 
     def test_entry_dtype_refuses_what_int64_cannot_hold(self):
@@ -605,7 +679,7 @@ class TestBruteForce:
     @settings(max_examples=25, deadline=None)
     def test_matches_transfer_count(self, b, p):
         for target in (identity_permutation(b.strands), longest_permutation(b.strands)):
-            assert brute_force_count(b, target, p) == point_count(b, target).evaluate(p)
+            assert brute_force_count(b, target, p) == at(point_count(b, target), p)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_definitional_count(self, p):
@@ -638,7 +712,7 @@ class TestBruteForce:
             targets.append(rnd.choice(skew))
         got = hecke._enumerate_counts(words, targets, p)
         assert got == [[brute_force_count(b, w, p) for w in targets] for b in words]
-        assert got == [[point_count(b, w).evaluate(p) for w in targets] for b in words]
+        assert got == [[at(point_count(b, w), p) for w in targets] for b in words]
 
     @pytest.mark.parametrize("n, r", [(3, 5), (4, 3)])
     def test_full_trie_at_every_target(self, n, r):
@@ -650,7 +724,7 @@ class TestBruteForce:
         got = hecke._enumerate_counts(words, targets, 3)
         for b, counts in zip(words, got):
             f = hecke._fold(b)
-            assert counts == [hecke._count(f, w).evaluate(3) for w in targets], b.word_str()
+            assert counts == [at(hecke._count(f, w), 3) for w in targets], b.word_str()
 
     def test_non_involutive_target(self):
         # B_1(z1) B_2(z2) P_w upper triangular only for w = (3,1,2), z = 0.
@@ -664,10 +738,10 @@ class TestBruteForce:
 class TestQPolyJson:
     def test_roundtrip(self):
         p = qp({2: 1, 1: -1})
-        assert QPoly.from_json(p.to_json()) == p
-        assert p.to_json() == '{"q_poly": {"0": "0", "1": "-1", "2": "1"}}'
+        assert q_poly_from_json(q_poly_to_json(p)) == p
+        assert q_poly_to_json(p) == '{"q_poly": {"0": "0", "1": "-1", "2": "1"}}'
 
     def test_render(self):
-        assert qp({2: 1, 1: -1}).render() == "q^2 - q"
-        assert qp({}).render() == "0"
-        assert qp({0: -3, 1: 2}).render() == "2*q - 3"
+        assert render_descending(qp({2: 1, 1: -1})) == "q^2 - q"
+        assert render_descending(qp({})) == "0"
+        assert render_descending(qp({0: -3, 1: 2})) == "2*q - 3"

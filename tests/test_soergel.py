@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torushom import soergel
 from torushom.recursion import hhh_a0
 from torushom.soergel import (
     MULT,
@@ -92,6 +93,46 @@ class TestHomology:
     @pytest.mark.parametrize("m", range(0, 13))
     def test_oracle_agreement(self, m):
         assert two_strand_qt_dims(m, 20) == qt_table_within(hhh_a0(2, m), 20, -m)
+
+
+class TestBudget:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 6, 40])
+    def test_steps_bound_the_work(self, monkeypatch, m):
+        # What _steps prices: every monomial built, and the entry updates of
+        # each rank, (rows - 1 - i) * cols at the i-th pivot.
+        work = [0]
+        monomials, rank = soergel._monomials, soergel._rank
+
+        def count_monomials(degree):
+            out = monomials(degree)
+            work[0] += len(out)
+            return out
+
+        def count_rank(matrix):
+            r = rank(matrix)
+            work[0] += sum(len(matrix) - 1 - i for i in range(r)) * len(matrix[0])
+            return r
+
+        monkeypatch.setattr(soergel, "_monomials", count_monomials)
+        monkeypatch.setattr(soergel, "_rank", count_rank)
+        for cutoff in range(0, 41, 3):
+            work[0] = 0
+            hhh0_two_strand(m, cutoff)
+            assert 0 < work[0] <= soergel._steps(m, cutoff)
+
+    def test_budget_boundary(self, monkeypatch):
+        table = hhh0_two_strand(3, 40)
+        monkeypatch.setattr(soergel, "MAX_TWO_STRAND_STEPS", soergel._steps(3, 40))
+        assert hhh0_two_strand(3, 40) == table
+        monkeypatch.setattr(soergel, "MAX_TWO_STRAND_STEPS", soergel._steps(3, 40) - 1)
+        with pytest.raises(ValueError, match="internal degree 40 needs more than"):
+            hhh0_two_strand(3, 40)
+
+    @pytest.mark.parametrize("cutoff", [0, 4, 9, 20])
+    def test_positions_past_half_the_cutoff_add_nothing(self, cutoff):
+        # Every complex at least cutoff / 2 long gives the same table.
+        tables = {hhh0_two_strand(m, cutoff).dims for m in (cutoff // 2, cutoff // 2 + 1, 10**9)}
+        assert len(tables) == 1
 
 
 def fraction_rank(matrix):
