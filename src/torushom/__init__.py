@@ -44,9 +44,6 @@ from .curves import (
     semigroup,
 )
 from .hecke import (
-    HeckeElement,
-    braid_hecke_product,
-    braid_transfer_product,
     brute_force_count,
     point_count,
 )

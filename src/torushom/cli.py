@@ -56,23 +56,27 @@ def _refuse_unprintable_root(m: int, n: int) -> None:
         )
 
 
-def _refuse_unprintable_catalan(m: int, n: int) -> None:
-    """Refuse c(m, n) = C(N, k) / N, for N = m + n and k = min(m, n), before
-    it is computed when Python cannot print it.  C(N, k) >= (N // k)^k >=
-    2^E for E = k (bitlen(N // k) - 1), so c(m, n) >= 10^limit, more digits
-    than sys.get_int_max_str_digits() allows, once E >= 4 limit + bitlen(N).
-    Below that, k < 4 limit + bitlen(N) and C(N, k) < (e N / k)^k has under
-    14 limit + 4 bitlen(N) bits: it is computed at once, and a print past the
-    limit fails at once."""
+def _printable_catalan(m: int, n: int) -> int:
+    """c(m, n) = C(N, k) / N, for N = m + n and k = min(m, n), refused when
+    Python cannot print it.  C(N, k) >= (N // k)^k >= 2^E for E = k
+    (bitlen(N // k) - 1), so c(m, n) >= 10^limit, more digits than
+    sys.get_int_max_str_digits() allows, once E >= 4 limit + bitlen(N); such
+    a pair is refused before c(m, n) is computed.  Below that, k < 4 limit +
+    bitlen(N) and C(N, k) < (e N / k)^k has under 14 limit + 4 bitlen(N)
+    bits: it is computed at once and refused if it is at least 10^limit."""
     limit = sys.get_int_max_str_digits()
     k, size = min(m, n), m + n
-    if not limit or k < 1 or gcd(m, n) != 1:
-        return
-    if k * ((size // k).bit_length() - 1) >= 4 * limit + size.bit_length():
-        raise ValueError(
-            f"c({m},{n}) has more than {limit} digits, past Python's limit for "
-            "printing integers (sys.set_int_max_str_digits)"
-        )
+    huge = limit and k >= 1 and gcd(m, n) == 1 and (
+        k * ((size // k).bit_length() - 1) >= 4 * limit + size.bit_length()
+    )
+    if not huge:
+        value = curves.rational_catalan(m, n)
+        if not limit or value < 10**limit:
+            return value
+    raise ValueError(
+        f"c({m},{n}) has more than {limit} digits, past Python's limit for "
+        "printing integers (sys.set_int_max_str_digits)"
+    )
 
 
 def _cmd_hhh(args) -> int:
@@ -184,8 +188,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_catalan(args) -> int:
-    _refuse_unprintable_catalan(args.m, args.n)
-    print(curves.rational_catalan(args.m, args.n))
+    print(_printable_catalan(args.m, args.n))
     return 0
 
 

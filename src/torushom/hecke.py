@@ -15,7 +15,6 @@ elementary crossing matrices and P_w the permutation matrix of the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,20 +23,6 @@ from . import recursion
 from .algebra import LaurentPoly, render_descending
 from .braid import BraidWord, Permutation, inverse_permutation, permutation_length
 from .recursion import _INT_TYPES, MAX_LIVE_BYTES, _int_bytes
-
-
-@dataclass(frozen=True)
-class HeckeElement:
-    """Sparse map Permutation -> polynomial in q; all keys share one strand count."""
-
-    strands: int
-    support: tuple[tuple[Permutation, LaurentPoly], ...]
-
-    def as_dict(self) -> dict[Permutation, LaurentPoly]:
-        return dict(self.support)
-
-    def coefficient(self, w: Permutation) -> LaurentPoly:
-        return self.as_dict().get(w, LaurentPoly())
 
 
 # -- transfer fold -------------------------------------------------------------
@@ -76,10 +61,10 @@ class _Fold:
         hit = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
         return lo < hi, keys, hit, self.keys[hit] == keys
 
-    def perms(self, rows=slice(None)) -> list[Permutation]:
-        """The permutations of the given rows, by default of every row."""
+    def perms(self) -> list[Permutation]:
+        """The permutations of the rows, in row order."""
         n = len(self.weight)
-        return list(map(tuple, (self.keys[rows, None] // self.weight % n + 1).tolist()))
+        return list(map(tuple, (self.keys[:, None] // self.weight % n + 1).tolist()))
 
 
 class _OverBudget(ValueError):
@@ -169,28 +154,6 @@ def _poly(row, ell: int = 0) -> LaurentPoly:
             f"divisibility violated: {render_descending(_poly(row))} is not divisible by q^{ell}"
         )
     return LaurentPoly({(0, e - ell, 0): c for e, c in enumerate(coeffs) if c})
-
-
-def _element(b: BraidWord, divide: bool) -> HeckeElement:
-    f = _fold(b)
-    rows = np.flatnonzero((f.arr != 0).any(axis=1))
-    support = []
-    for row, w in zip(rows, f.perms(rows)):
-        support.append((w, _poly(f.arr[row], permutation_length(w) if divide else 0)))
-    return HeckeElement(b.strands, tuple(support))
-
-
-def braid_transfer_product(b: BraidWord) -> HeckeElement:
-    """Geometric transfer fold: the coefficient at w counts the z-tuples with
-    B_beta(z) in the Bruhat cell of w, and equals q^len(w) times the T-basis
-    coefficient."""
-    return _element(b, divide=False)
-
-
-def braid_hecke_product(b: BraidWord) -> HeckeElement:
-    """T-basis product T_e T_{i_1} ... T_{i_r}: the transfer fold with the
-    coefficient at w divided exactly by q^len(w)."""
-    return _element(b, divide=True)
 
 
 def point_count(b: BraidWord, target: Permutation) -> LaurentPoly:

@@ -13,20 +13,22 @@ bases, independently of the recursion pipeline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from math import comb
 
 from .algebra import RatFunc, qta_degree_from_QTA, series_truncate
 
 MULT = "x1-x2"
 ZERO = "zero"
 
-# Admission budget for hhh0_two_strand, in steps: monomials built plus
-# entry updates of the Bareiss rank, as ``_steps`` bounds them.  On 2 cores
-# a step cost 45-110 ns at 30-34 MB peak RSS: `soergel2 3 --cutoff 200`
-# (5.2e7 steps) took 3.8-4.2 s, `soergel2 100 --cutoff 140` (5.2e7) 4.9-5.5 s
-# and `soergel2 0 --cutoff 21900` (6.0e7) 6.8 s, so this bounds one call
-# near 7 s and 35 MB.
+# Admission budget for hhh0_two_strand, in steps, as ``_steps`` counts them:
+# one per entry update of a Bareiss rank, and _POSITION_STEPS per position
+# visited, above the ~240 bytes of peak RSS that the table entry a position
+# may add costs, so the table stays under MAX_TWO_STRAND_STEPS bytes.  On
+# 2 cores an update cost 70-115 ns: `soergel2 1 --cutoff 294` (6.0e7 steps)
+# took 4.2-6.8 s at 30 MB, and `soergel2 0 --cutoff 468749` (6.0e7) 0.6-0.9 s
+# at 86 MB, so this bounds one call near 7 s and 90 MB.
+_POSITION_STEPS = 256
 MAX_TWO_STRAND_STEPS = 60_000_000
 
 
@@ -89,22 +91,21 @@ def _rank(matrix: list[list[int]]) -> int:
 
 
 def _steps(m: int, cutoff: int) -> int:
-    """A bound on the steps of hhh0_two_strand(m, cutoff).  Position j is
-    visited in each degree 2D with j <= D <= h = cutoff // 2, at s = D - j.
-    There it builds the s + 1 monomials of its degree and, if m >= 1, runs at
-    most one rank, on the matrix of x1 - x2 out of degree 2s or 2s - 2: at
-    most 2s + 3 monomials and (s + 1)^2 (s + 2) / 2 entry updates, below
-    (s + 2)^3 / 2.  Over s <= x = h - j these sum to C(x + 2, 2) and below
-    S3(x + 2) / 2, S3(y) = (y (y + 1) / 2)^2; over j <= min(m, h), to
-    differences of C(x + 3, 3) and of P(y) = S3(0) + ... + S3(y)."""
+    """The steps of hhh0_two_strand(m, cutoff): _POSITION_STEPS for each
+    position visited and one for each entry update of each rank run.
+    Position j is visited in each degree 2D with j <= D <= h = cutoff // 2,
+    so over j <= L = min(m, h) there are (h + 1) + L (L + 1) / 2 + L (h - L)
+    visits.  If m >= 1 they rank x1 - x2 out of each degree 2s, s < h, once:
+    a (s + 2) x (s + 1) matrix of rank s + 1, whose elimination updates
+    (s + 1)^2 (s + 2) / 2 entries.  Over s < h these sum to half of
+    S3 + S2, S_k = 1^k + ... + h^k."""
     h = cutoff // 2
-    lo = h - min(m, h)  # x runs over lo..h
-
-    def p(y: int) -> int:
-        return y * (y + 1) * (y + 2) * (3 * y * y + 6 * y + 1) // 60
-
-    ranks = (p(h + 2) - p(lo + 1)) // 2 if m >= 1 else 0
-    return comb(h + 3, 3) - comb(lo + 2, 3) + ranks
+    top = min(m, h)
+    positions = h + 1 + top * (top + 1) // 2 + top * (h - top)
+    ranks = 0
+    if m >= 1:
+        ranks = ((h * (h + 1) // 2) ** 2 + h * (h + 1) * (2 * h + 1) // 6) // 2
+    return positions * _POSITION_STEPS + ranks
 
 
 @dataclass(frozen=True)
@@ -136,24 +137,20 @@ def hhh0_two_strand(m: int, cutoff: int) -> BigradedDims:
     # Position j sits in internal degrees >= 2j, so only the positions up to
     # cutoff / 2 are built and visited.
     cx = hom_complex_two_strand(min(m, cutoff // 2))
+    # The rank of x1 - x2 out of a degree is the same at every position.
+    rank = functools.cache(lambda degree: _rank(_mult_matrix(degree)))
     out: dict[tuple[int, int], int] = {}
     for d in range(0, cutoff + 1, 2):
         for j in range(min(cx.length, d // 2) + 1):
             local = d - 2 * j  # internal degree inside R(-2j)
-            dim_here = len(_monomials(local))
+            ker = local // 2 + 1  # the monomials of degree local
             # Outgoing differential (position j -> j-1).
-            if j == 0:
-                ker = dim_here
-            elif cx.label_out_of(j) == MULT:
-                ker = dim_here - _rank(_mult_matrix(local))
-            else:
-                ker = dim_here
+            if j and cx.label_out_of(j) == MULT:
+                ker -= rank(local)
             # Incoming differential (position j+1 -> j).
             img = 0
-            if j + 1 <= cx.length and cx.labels[j] == MULT:
-                incoming = d - 2 * (j + 1)
-                if incoming >= 0:
-                    img = _rank(_mult_matrix(incoming))
+            if j + 1 <= cx.length and cx.labels[j] == MULT and local >= 2:
+                img = rank(local - 2)
             h = ker - img
             if h:
                 out[(d, -j)] = h

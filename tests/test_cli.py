@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from torushom import curves
 from torushom.algebra import Q, RatFunc, q_poly_from_json, ratfunc_from_json, table_from_json
 from torushom.braid import half_twist, torus_braid
 from torushom.cli import dispatch
@@ -341,9 +342,28 @@ class TestExitCodes:
         assert code == 2 and not out
         assert f"c({m},{n}) has more than 4300 digits" in err
 
+    def test_catalan_near_the_diagonal_refused_or_printed(self, capsys):
+        # (N // k)^k bounds C(N, k) loosely near m = n: c(7500, 7501) is under
+        # that bound but past 4300 digits, and c(7000, 7001) has 4209.
+        code, out, err = run(capsys, "catalan", "7500", "7501")
+        assert code == 2 and not out
+        assert "c(7500,7501) has more than 4300 digits" in err
+        code, out, _ = run(capsys, "catalan", "7000", "7001")
+        assert code == 0 and len(out.strip()) == 4209
+        assert int(out) == curves.rational_catalan(7000, 7001)
+
     def test_soergel_over_budget_rejected_quickly(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "soergel2", "3", "--cutoff", "1" + "0" * 30)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and not out
+        assert "two-strand budget" in err
+
+    def test_soergel_long_table_rejected_quickly(self, capsys):
+        # T(2, 0) adds a table entry at every even degree: 5 * 10^8 of them
+        # would not fit in memory.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "soergel2", "0", "--cutoff", "1000000000")
         assert time.perf_counter() - start < 2.0
         assert code == 2 and not out
         assert "two-strand budget" in err

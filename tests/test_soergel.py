@@ -98,27 +98,37 @@ class TestHomology:
 class TestBudget:
     @pytest.mark.parametrize("m", [0, 1, 2, 3, 6, 40])
     def test_steps_bound_the_work(self, monkeypatch, m):
-        # What _steps prices: every monomial built, and the entry updates of
-        # each rank, (rows - 1 - i) * cols at the i-th pivot.
-        work = [0]
-        monomials, rank = soergel._monomials, soergel._rank
+        # What _steps prices: _POSITION_STEPS for every position (d, j) the
+        # table visits, j <= min(length, d / 2) on the complex it builds,
+        # and the entry updates of each rank, (rows - 1 - i) * cols at the
+        # i-th pivot.  Each degree is ranked once.
+        work, ranked = [0], []
+        build, mult, rank = soergel.hom_complex_two_strand, soergel._mult_matrix, soergel._rank
 
-        def count_monomials(degree):
-            out = monomials(degree)
-            work[0] += len(out)
-            return out
+        def count_positions(k):
+            cx = build(k)
+            work[0] += soergel._POSITION_STEPS * sum(
+                min(cx.length, d // 2) + 1 for d in range(0, cutoff + 1, 2)
+            )
+            return cx
+
+        def count_degrees(degree):
+            ranked.append(degree)
+            return mult(degree)
 
         def count_rank(matrix):
             r = rank(matrix)
             work[0] += sum(len(matrix) - 1 - i for i in range(r)) * len(matrix[0])
             return r
 
-        monkeypatch.setattr(soergel, "_monomials", count_monomials)
+        monkeypatch.setattr(soergel, "hom_complex_two_strand", count_positions)
+        monkeypatch.setattr(soergel, "_mult_matrix", count_degrees)
         monkeypatch.setattr(soergel, "_rank", count_rank)
         for cutoff in range(0, 41, 3):
-            work[0] = 0
+            work[0], ranked[:] = 0, []
             hhh0_two_strand(m, cutoff)
             assert 0 < work[0] <= soergel._steps(m, cutoff)
+            assert len(ranked) == len(set(ranked))
 
     def test_budget_boundary(self, monkeypatch):
         table = hhh0_two_strand(3, 40)
