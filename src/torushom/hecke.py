@@ -22,7 +22,6 @@ import numpy as np
 from . import recursion
 from .algebra import LaurentPoly, render_descending
 from .braid import BraidWord, Permutation, inverse_permutation, permutation_length
-from .recursion import _INT_TYPES, MAX_LIVE_BYTES, _int_bytes
 
 
 # -- transfer fold -------------------------------------------------------------
@@ -40,7 +39,7 @@ class _Fold:
     def __init__(self, n: int):
         self.weight = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
         self.keys = np.arange(n)[None] @ self.weight
-        self.arr = np.ones((1, 1), dtype=recursion._rung(1, _INT_TYPES))
+        self.arr = np.ones((1, 1), dtype=recursion._rung(1))
         self.bound = 1
 
     def copy(self, width: int, dtype: np.dtype) -> "_Fold":
@@ -68,11 +67,12 @@ class _Fold:
 
 
 class _OverBudget(ValueError):
-    """A fold refused under MAX_LIVE_BYTES, named by the size of a word."""
+    """A fold refused under the memory budget, named by the size of a word."""
 
     def __init__(self, letters: int, strands: int):
+        budget = recursion.MAX_LIVE_BYTES >> 20
         super().__init__(f"braid word of {letters} letters on {strands} strands needs more "
-                         f"than {MAX_LIVE_BYTES >> 20} MiB for its Hecke fold (the memory budget)")
+                         f"than {budget} MiB for its Hecke fold (the memory budget)")
 
 
 def _fold(b: BraidWord, held: int = 0, start: _Fold | None = None) -> _Fold:
@@ -86,17 +86,17 @@ def _fold(b: BraidWord, held: int = 0, start: _Fold | None = None) -> _Fold:
     A letter grows the coefficient bound at most 3x.  The array starts as
     int16, or as start's type; before a letter could pass its type, the
     bound is tightened to the true maximum, and only if three times that
-    still does not fit is the array widened to int32, int64 and then Python
-    ints.  Every fixed-width type is also capped at the recursion's
-    INT64_HEADROOM.
+    still does not fit is the array widened up the recursion's ladder
+    (recursion._rung): int32, int64 and then Python ints.
 
     Raises ValueError before the rows, beside ``held`` bytes held elsewhere,
-    would pass MAX_LIVE_BYTES: at the peak of a letter the coefficient array
-    and three half-size temporaries are held, each row priced at the final
-    width, and each row also has its key and about eight index entries.  The
-    old array, held beside the new one while it is copied or widened, is no
-    larger than the new one, so that peak covers it.  The refusal names the
-    letters of start and b together.
+    would pass the recursion's MAX_LIVE_BYTES: at the peak of a letter the
+    coefficient array and three half-size temporaries are held, each row
+    priced at the final width (recursion._entry_bytes), and each row also has
+    its key and about eight index entries.  The old array, held beside the
+    new one while it is copied or widened, is no larger than the new one, so
+    that peak covers it.  The refusal names the letters of start and b
+    together.
     """
     if not b.is_positive():
         raise ValueError("point counting requires a positive braid word")
@@ -110,15 +110,12 @@ def _fold(b: BraidWord, held: int = 0, start: _Fold | None = None) -> _Fold:
         # Nonzero rows whose partner has no row yet.
         missing = np.flatnonzero(~found)
         fresh = missing[(f.arr[missing, :cols] != 0).any(axis=1)]
-        dtype, bound = recursion._widen(f.arr, f.bound, 3, _INT_TYPES)
+        dtype, bound = recursion._widen(f.arr, f.bound, 3)
         # Past int64, size each entry by the bound after the last letter,
         # which is below 4^(r - k) times the present one.
-        if dtype == object:
-            entry = _int_bytes(bound.bit_length() + 2 * (r - k))
-        else:
-            entry = dtype.itemsize
+        entry = recursion._entry_bytes(dtype, bound.bit_length() + 2 * (r - k))
         peak = (len(f.keys) + len(fresh)) * (5 * width * entry // 2 + 72)
-        if held + peak > MAX_LIVE_BYTES:
+        if held + peak > recursion.MAX_LIVE_BYTES:
             raise _OverBudget(width - 1, n)
         if k == 0 or f.arr.dtype != dtype:
             f = f.copy(width, dtype)
@@ -174,7 +171,7 @@ def point_count(b: BraidWord, target: Permutation) -> LaurentPoly:
     split at len(b): when the middle falls in the target's word, and when
     both halves have the Demazure product w0, so that both may reach every
     permutation and the combine, which costs rows x columns^2, is dearer
-    than the one fold.  Both folds are held together under MAX_LIVE_BYTES,
+    than the one fold.  Both folds are held together under the memory budget,
     and a refusal names b, not the half that passed the budget.
     """
     if not b.is_positive():
@@ -195,7 +192,6 @@ def point_count(b: BraidWord, target: Permutation) -> LaurentPoly:
 def _split_count(n: int, word, k: int, ell: int) -> LaurentPoly:
     """q^-ell tau(T_word) from the folds of word[:k] and of word[k:] reversed."""
     front = _fold(BraidWord(n, word[:k]))
-    # recursion._nbytes prices any arr under a coefficient bound, a fold's too.
     held = recursion._nbytes(front) + front.keys.nbytes
     back = _fold(BraidWord(n, word[k:][::-1]), held=held)
     return _poly(_trace(front, back), ell)
@@ -237,7 +233,7 @@ def _trace(f: _Fold, g: _Fold) -> np.ndarray:
     if not len(a):
         return np.zeros(wa + wc - 1, dtype=np.int64)
     bound = int(np.abs(a).max()) * int(np.abs(c).max()) * min(wa, wc) * len(a)
-    dtype = recursion._rung(bound, _INT_TYPES)
+    dtype = recursion._rung(bound)
     digits = f.keys[i[live], None] // f.weight % len(f.weight)
     lengths = np.triu(digits[:, :, None] > digits[:, None, :]).sum(axis=(1, 2))
     out = np.zeros(wa + wc - 1, dtype=dtype)
@@ -288,7 +284,7 @@ def _is_prime(p: int) -> bool:
 
 def _entry_dtype(p: int) -> np.dtype:
     """Narrowest signed integer type holding a + z*b for a, b, z in [0, p)."""
-    for dtype, limit in _INT_TYPES:
+    for dtype, limit in recursion._INT_TYPES:
         if (p - 1) + (p - 1) ** 2 < limit:
             return dtype
     raise ValueError(f"p = {p} is too large for brute force")

@@ -46,7 +46,8 @@ from .algebra import (
 # holds 6.0 million.  Links need more per state (8.0 kB on T(14,14), 11 kB
 # on T(15,15)), so evaluation also stops before the numerators it holds
 # would pass MAX_LIVE_BYTES.  T(16,17) peaks at 183 MiB of them and T(15,15)
-# at 589 MiB; T(16,16) (131,071 states) passes the budget.
+# at 589 MiB; T(16,16) (131,071 states) passes the budget.  The Hecke fold
+# reads the same MAX_LIVE_BYTES when it runs.
 MAX_STATES = 250_000
 MAX_PLAN_CHARS = 8_000_000
 MAX_LIVE_BYTES = 768 << 20
@@ -56,35 +57,46 @@ MAX_LIVE_BYTES = 768 << 20
 INT64_HEADROOM = 2**62
 
 # Signed integer types, narrowest first, each with the least positive value
-# it cannot hold.  Exact arithmetic climbs them from int16 (_rung).
+# it cannot hold.  The numerators here and the Hecke fold rows climb them
+# from int16 (_rung); brute force reads them from int8.
 _INT_TYPES = tuple(
     (np.dtype(t), 1 << (8 * np.dtype(t).itemsize - 1))
     for t in (np.int8, np.int16, np.int32, np.int64)
 )
 
 
-def _rung(bound: int, types) -> np.dtype:
-    """The narrowest type that holds every |coefficient| up to bound, on the
-    ladder of ``types``: its types from int16 up, each with its limit capped
-    at INT64_HEADROOM, then Python ints."""
+def _rung(bound: int) -> np.dtype:
+    """The narrowest type that holds every |coefficient| up to bound: the
+    types of _INT_TYPES from int16 up, each with its limit capped at
+    INT64_HEADROOM, then Python ints."""
     if bound < INT64_HEADROOM:
-        for dtype, limit in types[1:]:
+        for dtype, limit in _INT_TYPES[1:]:
             if bound < limit:
                 return dtype
     return np.dtype(object)
 
 
-def _widen(arr, bound: int, factor: int, types) -> tuple[np.dtype, int]:
+def _widen(arr, bound: int, factor: int) -> tuple[np.dtype, int]:
     """The type that arithmetic growing arr's coefficients, bounded by
     ``bound``, by ``factor`` needs, and the bound to keep.  That is arr's own
     type while it holds bound * factor.  Otherwise the bound is first
-    tightened to the true maximum, and the type is the narrowest rung of
-    ``types`` that holds the product and is no narrower than arr's."""
-    dtype = np.promote_types(_rung(bound * factor, types), arr.dtype)
+    tightened to the true maximum, and the type is the narrowest rung that
+    holds the product and is no narrower than arr's."""
+    dtype = np.promote_types(_rung(bound * factor), arr.dtype)
     if dtype != arr.dtype:
         bound = int(np.abs(arr).max())
-        dtype = np.promote_types(_rung(bound * factor, types), arr.dtype)
+        dtype = np.promote_types(_rung(bound * factor), arr.dtype)
     return dtype, bound
+
+
+def _entry_bytes(dtype: np.dtype, bits: int) -> int:
+    """Memory of an array entry of dtype below 2^bits: the itemsize of a
+    fixed-width type, and for Python ints an upper bound on the pointer and
+    the int object."""
+    if dtype != object:
+        return dtype.itemsize
+    info = sys.int_info
+    return 8 + sys.getsizeof(1) + info.sizeof_digit * (bits // info.bits_per_digit)
 
 
 class _Num:
@@ -109,19 +121,19 @@ def _room(x: _Num, factor: int):
     """x.arr, ready for arithmetic that grows its coefficients by ``factor``:
     a copy in a wider type when its own is not enough.  The stored value is
     never converted, so its accounted size stays right."""
-    dtype, x.bound = _widen(x.arr, x.bound, factor, _INT_TYPES)
+    dtype, x.bound = _widen(x.arr, x.bound, factor)
     return x.arr if dtype == x.arr.dtype else x.arr.astype(dtype)
 
 
 def _base(n: int, a0: bool = False) -> _Num:
     """(1 + a)^n / (1 - q)^n, or its a^0 slice 1 / (1 - q)^n."""
     if a0:
-        return _Num(np.ones((1, 1, 1), dtype=_rung(1, _INT_TYPES)), 0, 0, 0, n, 1)
+        return _Num(np.ones((1, 1, 1), dtype=_rung(1)), 0, 0, 0, n, 1)
     coeffs = [1]
     for k in range(n):  # math.comb per entry would cost a factor of n more
         coeffs.append(coeffs[-1] * (n - k) // (k + 1))
     bound = coeffs[n // 2]
-    arr = np.array(coeffs, dtype=_rung(bound, _INT_TYPES)).reshape(n + 1, 1, 1)
+    arr = np.array(coeffs, dtype=_rung(bound)).reshape(n + 1, 1, 1)
     return _Num(arr, 0, 0, 0, n, bound)
 
 
@@ -173,7 +185,7 @@ def _normalize(arr, off, d: int, bound: int) -> _Num:
     """Cancel every common factor (1 - q) of arr / (1 - q)^d."""
     trimmed = _trim(arr, off)
     if trimmed is None:
-        return _Num(np.zeros((1, 1, 1), dtype=_rung(0, _INT_TYPES)), 0, 0, 0, 0, 0)
+        return _Num(np.zeros((1, 1, 1), dtype=_rung(0)), 0, 0, 0, 0, 0)
     x = _Num(trimmed[0], *trimmed[1], d, bound)
     while x.d > 0:
         # (1 - q) divides only if the value at a = q = t = 1 is 0.  An int64
@@ -297,25 +309,16 @@ def _plan(v: str, w: str):
     return steps, order, consumers
 
 
-def _int_bytes(bits: int) -> int:
-    """Upper bound on the memory of a Python-int array entry below 2^bits:
-    its pointer and the int object."""
-    info = sys.int_info
-    return 8 + sys.getsizeof(1) + info.sizeof_digit * (bits // info.bits_per_digit)
-
-
-def _nbytes(x: _Num) -> int:
-    """Memory held by a numerator, an upper bound for Python ints."""
-    if x.arr.dtype != object:
-        return x.arr.nbytes
-    return x.arr.size * _int_bytes(x.bound.bit_length())
+def _nbytes(x) -> int:
+    """Memory held by the array ``arr`` of x, whose |entries| are at most
+    ``x.bound``: a numerator or a Hecke fold.  An upper bound for Python ints."""
+    return x.arr.size * _entry_bytes(x.arr.dtype, x.bound.bit_length())
 
 
 def _base_bytes(n: int) -> int:
     """Upper bound on _nbytes(_base(n)), known before it is built: the
     entries are below 2^n, and 2^64 is past every fixed-width rung."""
-    dtype = _rung(1 << min(n, 64), _INT_TYPES)
-    return (n + 1) * (_int_bytes(n) if dtype == object else dtype.itemsize)
+    return (n + 1) * _entry_bytes(_rung(1 << min(n, 64)), n)
 
 
 def _evaluate(v: str, w: str, a0: bool = False) -> _Num:

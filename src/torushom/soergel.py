@@ -23,11 +23,11 @@ ZERO = "zero"
 
 # Admission budget for hhh0_two_strand, in steps, as ``_steps`` counts them:
 # one per entry update of a Bareiss rank, and _POSITION_STEPS per position
-# visited, above the ~240 bytes of peak RSS that the table entry a position
+# visited, above the ~200 bytes of peak RSS that the table entry a position
 # may add costs, so the table stays under MAX_TWO_STRAND_STEPS bytes.  On
 # 2 cores an update cost 70-115 ns: `soergel2 1 --cutoff 294` (6.0e7 steps)
-# took 4.2-6.8 s at 30 MB, and `soergel2 0 --cutoff 468749` (6.0e7) 0.6-0.9 s
-# at 86 MB, so this bounds one call near 7 s and 90 MB.
+# took 4.2-6.8 s at 30 MB, and `soergel2 0 --cutoff 468749` (6.0e7) 0.7-0.9 s
+# at 75 MB, so this bounds one call near 7 s and 80 MB.
 _POSITION_STEPS = 256
 MAX_TWO_STRAND_STEPS = 60_000_000
 
@@ -139,9 +139,10 @@ def hhh0_two_strand(m: int, cutoff: int) -> BigradedDims:
     cx = hom_complex_two_strand(min(m, cutoff // 2))
     # The rank of x1 - x2 out of a degree is the same at every position.
     rank = functools.cache(lambda degree: _rank(_mult_matrix(degree)))
-    out: dict[tuple[int, int], int] = {}
+    dims = []
     for d in range(0, cutoff + 1, 2):
-        for j in range(min(cx.length, d // 2) + 1):
+        # j runs downward, so the keys (d, -j) come out sorted.
+        for j in range(min(cx.length, d // 2), -1, -1):
             local = d - 2 * j  # internal degree inside R(-2j)
             ker = local // 2 + 1  # the monomials of degree local
             # Outgoing differential (position j -> j-1).
@@ -153,8 +154,8 @@ def hhh0_two_strand(m: int, cutoff: int) -> BigradedDims:
                 img = rank(local - 2)
             h = ker - img
             if h:
-                out[(d, -j)] = h
-    return BigradedDims(tuple(sorted(out.items())), cutoff)
+                dims.append(((d, -j), h))
+    return BigradedDims(tuple(dims), cutoff)
 
 
 def bigraded_to_qt(table: BigradedDims) -> dict[tuple[int, int], int]:

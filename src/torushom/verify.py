@@ -36,14 +36,12 @@ class CheckResult:
     actual: str
     seconds: float
 
-    def render(self, with_timing: bool = True) -> str:
+    def render(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         line = f"[{status}] {self.name}"
         if not self.passed:
             line += f"\n    expected: {self.expected}\n    actual:   {self.actual}"
-        if with_timing:
-            line += f"  ({self.seconds:.2f}s)"
-        return line
+        return line + f"  ({self.seconds:.2f}s)"
 
 
 @dataclass
@@ -51,12 +49,29 @@ class VerificationReport:
     suite: str
     checks: list[CheckResult] = field(default_factory=list)
 
+    def check(self, name: str, expected, actual) -> None:
+        """Record whether expected equals actual, calling either that is
+        callable; an exception fails the check without ending the suite."""
+        start = time.perf_counter()
+        try:
+            exp_val = expected() if callable(expected) else expected
+            act_val = actual() if callable(actual) else actual
+            passed = exp_val == act_val
+            exp_str, act_str = repr(exp_val), repr(act_val)
+        except Exception as exc:  # a failed check must not abort the suite
+            passed = False
+            exp_str = repr(expected)
+            act_str = f"raised {type(exc).__name__}: {exc}"
+        self.checks.append(
+            CheckResult(name, passed, exp_str, act_str, time.perf_counter() - start)
+        )
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def render(self, with_timing: bool = True) -> str:
-        lines = [c.render(with_timing) for c in self.checks]
+    def render(self) -> str:
+        lines = [c.render() for c in self.checks]
         passed = sum(c.passed for c in self.checks)
         lines.append(f"{self.suite}: {passed}/{len(self.checks)} checks passed")
         return "\n".join(lines)
@@ -80,34 +95,10 @@ class VerificationReport:
         )
 
 
-class _Suite:
-    def __init__(self, name: str):
-        self.name = name
-        self.checks: list[CheckResult] = []
-
-    def check(self, name: str, expected, actual) -> None:
-        start = time.perf_counter()
-        try:
-            exp_val = expected() if callable(expected) else expected
-            act_val = actual() if callable(actual) else actual
-            passed = exp_val == act_val
-            exp_str, act_str = repr(exp_val), repr(act_val)
-        except Exception as exc:  # a failed check must not abort the suite
-            passed = False
-            exp_str = repr(expected)
-            act_str = f"raised {type(exc).__name__}: {exc}"
-        self.checks.append(
-            CheckResult(name, passed, exp_str, act_str, time.perf_counter() - start)
-        )
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(self.name, self.checks)
-
-
 # -- suite 1: recursion against the displayed tables --------------------------
 
 def suite_hm_paper_tables() -> VerificationReport:
-    s = _Suite("hm-paper-tables")
+    s = VerificationReport("hm-paper-tables")
     t_inv = LaurentPoly.monomial(1, et=-1)
     s.check(
         "hhh(2,2) = t^-1 (1+a)(t+q-qt+a)/(1-q)^2",
@@ -128,26 +119,26 @@ def suite_hm_paper_tables() -> VerificationReport:
         [(0, 5), (1, 5), (2, 1)],
         lambda: recursion.term_census_a(3, 4),
     )
-    return s.report()
+    return s
 
 
 # -- suite 2: two-strand Soergel oracle ---------------------------------------
 
 def suite_two_strand_oracle() -> VerificationReport:
-    s = _Suite("two-strand-oracle")
+    s = VerificationReport("two-strand-oracle")
     for m in range(0, 13):
         s.check(
             f"hhh0_two_strand({m}) = series of hhh_a0(2,{m}), internal deg <= 20",
             lambda m=m: soergel.qt_table_within(recursion.hhh_a0(2, m), 20, -m),
             lambda m=m: soergel.two_strand_qt_dims(m, 20),
         )
-    return s.report()
+    return s
 
 
 # -- suite 3: braid variety closed forms --------------------------------------
 
 def suite_braid_variety_closed_forms() -> VerificationReport:
-    s = _Suite("braid-variety-closed-forms")
+    s = VerificationReport("braid-variety-closed-forms")
     e = identity_permutation(2)
     s.check(
         "#X(s^3) = q^2 - q",
@@ -164,7 +155,7 @@ def suite_braid_variety_closed_forms() -> VerificationReport:
         Q * (Q**3 - Q**2 + Q - ONE),
         lambda: hecke.point_count(torus_braid(2, 5), e),
     )
-    return s.report()
+    return s
 
 
 # -- suite 4: Hecke transfer vs brute force -----------------------------------
@@ -182,7 +173,7 @@ def _positive_words(max_strands: int, max_len: int) -> Iterable[BraidWord]:
 def suite_hecke_vs_brute(
     max_strands: int = 3, max_len: int = 7, primes=(2, 3, 5)
 ) -> VerificationReport:
-    s = _Suite("hecke-vs-brute")
+    s = VerificationReport("hecke-vs-brute")
     words = list(_positive_words(max_strands, max_len))
     # Each word is folded once, as its last letter folded onto its prefix's
     # fold, and every count is read from its fold.  Every cyclic rotation of
@@ -246,13 +237,13 @@ def suite_hecke_vs_brute(
     )
     s.check("q^len(w) divides every transfer coefficient", [], divisibility_failures)
     s.check("e-count is invariant under cyclic rotation", [], rotation_failures)
-    return s.report()
+    return s
 
 
 # -- suite 5: knot divisibility ------------------------------------------------
 
 def suite_knot_divisibility() -> VerificationReport:
-    s = _Suite("knot-divisibility")
+    s = VerificationReport("knot-divisibility")
 
     def failures():
         out = []
@@ -272,13 +263,13 @@ def suite_knot_divisibility() -> VerificationReport:
         [],
         failures,
     )
-    return s.report()
+    return s
 
 
 # -- suite 6: Catalan triple -----------------------------------------------------
 
 def suite_catalan_triple() -> VerificationReport:
-    s = _Suite("catalan-triple")
+    s = VerificationReport("catalan-triple")
     pairs = [
         (m, n) for m in range(1, 14) for n in range(m + 1, 15 - m) if gcd(m, n) == 1
     ]
@@ -299,13 +290,13 @@ def suite_catalan_triple() -> VerificationReport:
         failures,
     )
     s.check("c(3,4) = 5", 5, lambda: curves.rational_catalan(3, 4))
-    return s.report()
+    return s
 
 
 # -- suite 7: Jacobian cells ---------------------------------------------------
 
 def suite_jacobian_cells() -> VerificationReport:
-    s = _Suite("jacobian-cells")
+    s = VerificationReport("jacobian-cells")
     for k in range(1, 5):
         s.check(
             f"jac(2,{2 * k + 1}) cell dimensions are 0..{k}",
@@ -323,13 +314,13 @@ def suite_jacobian_cells() -> VerificationReport:
             curves.semigroup(m, n).delta,
             lambda m=m, n=n: max(c.dimension for c in curves.jacobian_cells(m, n)),
         )
-    return s.report()
+    return s
 
 
 # -- suite 8: Hilbert scheme series ---------------------------------------------
 
 def suite_hilb_series() -> VerificationReport:
-    s = _Suite("hilb-series")
+    s = VerificationReport("hilb-series")
     for k in (1, 2):
         num = LaurentPoly({(0, 2 * i, 2 * i): 1 for i in range(k + 1)})
         s.check(
@@ -362,13 +353,13 @@ def suite_hilb_series() -> VerificationReport:
             lambda m=m, n=n: curves.jacobian_poincare(m, n),
             lambda m=m, n=n, d=delta: curves.hilb_level_poincare(m, n, 2 * d),
         )
-    return s.report()
+    return s
 
 
 # -- suite 9: ORS and Euler comparisons -----------------------------------------
 
 def suite_ors_maulik() -> VerificationReport:
-    s = _Suite("ors-maulik")
+    s = VerificationReport("ors-maulik")
     for m, n in ((2, 3), (2, 5), (2, 7), (3, 4)):
         s.check(
             f"ors({m},{n}) kmax=10: regraded homology matches hilb series",
@@ -380,13 +371,13 @@ def suite_ors_maulik() -> VerificationReport:
             (True, (0, 0, 0)),
             lambda m=m, n=n: curves.euler_compare(m, n, 10),
         )
-    return s.report()
+    return s
 
 
 # -- suite 10: q-t symmetry -------------------------------------------------------
 
 def suite_qt_symmetry() -> VerificationReport:
-    s = _Suite("qt-symmetry")
+    s = VerificationReport("qt-symmetry")
     for m, n in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
         s.check(
             f"reduced({m},{n}) is symmetric in q and t",
@@ -400,7 +391,7 @@ def suite_qt_symmetry() -> VerificationReport:
                 recursion.reduced_knot_poly(m, n).evaluate_qt1().values()
             ),
         )
-    return s.report()
+    return s
 
 
 # -- suite 11: cells vs homology --------------------------------------------------
@@ -408,7 +399,7 @@ def suite_qt_symmetry() -> VerificationReport:
 def suite_cells_vs_homology() -> VerificationReport:
     """The Jacobian cells, counted by codimension, against the reduced knot
     numerator of the recursion specialized at q = 1 and at t = 1."""
-    s = _Suite("cells-vs-homology")
+    s = VerificationReport("cells-vs-homology")
 
     def codimensions(m: int, n: int) -> dict[int, int]:
         delta = curves.semigroup(m, n).delta
@@ -434,7 +425,7 @@ def suite_cells_vs_homology() -> VerificationReport:
             lambda m=m, n=n: specialized(m, n, 1),
             lambda m=m, n=n: codimensions(m, n),
         )
-    return s.report()
+    return s
 
 
 SUITES: dict[str, Callable[[], VerificationReport]] = {

@@ -436,10 +436,10 @@ class TestFoldLimits:
     @staticmethod
     def short_ladder(monkeypatch, *limits):
         """Give the fold's first rungs, int16, int32, ..., the limits given."""
-        types = list(hecke._INT_TYPES)
+        types = list(recursion._INT_TYPES)
         for k, limit in enumerate(limits, 1):
             types[k] = (types[k][0], limit)
-        monkeypatch.setattr(hecke, "_INT_TYPES", tuple(types))
+        monkeypatch.setattr(recursion, "_INT_TYPES", tuple(types))
 
     @staticmethod
     def dtypes(b):
@@ -486,30 +486,39 @@ class TestFoldLimits:
         f = hecke._fold(b)
         assert f.arr.dtype == dtype
         need = len(f.keys) * (5 * 49 * f.arr.itemsize // 2 + 72)
-        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need)
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", need)
         assert point_count(b, w0) == hecke._count(f, w0)
-        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need - 1)
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", need - 1)
         refused = f"braid word of 48 letters on 7 strands needs more than {need >> 20} MiB"
         with pytest.raises(ValueError, match=refused):
             point_count(b, w0)
         with pytest.raises(ValueError, match=refused):
             hecke._fold(b)
-        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need)
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", need)
         with pytest.raises(ValueError, match=refused):
             hecke._fold(b, held=1)
 
     def test_memory_budget(self, monkeypatch):
-        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", 1 << 20)
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", 1 << 20)
         refused = "braid word of 48 letters on 7 strands needs more than 1 MiB"
         with pytest.raises(ValueError, match=refused):
             point_count(torus_braid(7, 8), longest_permutation(7))
         assert point_count(torus_braid(2, 3), identity_permutation(2)) == qp({2: 1, 1: -1})
 
+    def test_one_budget_for_fold_and_recursion(self, monkeypatch):
+        # The fold reads the recursion's MAX_LIVE_BYTES when it runs, so one
+        # patch of it refuses both engines.
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", 1 << 20)
+        with pytest.raises(ValueError, match="48 letters on 7 strands needs more than 1 MiB"):
+            point_count(torus_braid(7, 8), longest_permutation(7))
+        with pytest.raises(ValueError, match="length 20 needs more than 1 MiB of live numerators"):
+            recursion.hhh_torus(10, 10)
+
     def test_split_refusal_names_the_word(self, monkeypatch):
         # T(8,9) at e is split; its first half alone passes a 1 KiB budget,
         # and the refusal names the caller's 56 letters, not the half's.
         b, e = torus_braid(8, 9), identity_permutation(8)
-        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", 1 << 10)
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", 1 << 10)
         with pytest.raises(ValueError, match="needs more than") as refused:
             hecke._fold(BraidWord(8, b.letters[: len(b) // 2]))
         assert f"of {len(b) // 2} letters" in str(refused.value)
@@ -573,12 +582,12 @@ class TestFoldFromStart:
         f = hecke._fold(suffix, start=start)
         assert f.arr.shape[1] == 49
         need = len(f.keys) * (5 * 49 * f.arr.itemsize // 2 + 72)
-        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need)
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", need)
         assert np.array_equal(hecke._fold(suffix, start=start).arr, f.arr)
         refused = "braid word of 48 letters on 7 strands needs more than"
         with pytest.raises(ValueError, match=refused):
             hecke._fold(suffix, held=1, start=start)
-        monkeypatch.setattr(hecke, "MAX_LIVE_BYTES", need - 1)
+        monkeypatch.setattr(recursion, "MAX_LIVE_BYTES", need - 1)
         with pytest.raises(ValueError, match=refused):
             hecke._fold(suffix, start=start)
 
