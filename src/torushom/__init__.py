@@ -10,6 +10,20 @@ Three independent pipelines cross-check each other:
   singularities (``torushom.curves``).
 """
 
+import os as _os
+
+# All arithmetic here is exact and integer, so numpy never calls BLAS.  OpenBLAS
+# reads OPENBLAS_NUM_THREADS once, when numpy loads it, and otherwise starts one
+# worker thread per core, which spins after start-up.  Load numpy with one
+# thread, then put the environment back as it was.  A value the user set is
+# kept, and if numpy was already imported this changes nothing.
+if "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .algebra import (
     GradedTable,
     LaurentPoly,

@@ -62,8 +62,14 @@ class BraidWord:
 
 def parse_word(strands: int, text: str) -> BraidWord:
     """CLI word syntax: comma-separated signed indices, e.g. '1,1,1'."""
-    text = text.strip()
-    letters = [int(tok) for tok in text.split(",") if tok.strip()] if text else []
+    letters = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            letters.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"braid letter {tok!r} is not a signed integer such as 2 or -2"
+            ) from None
     return BraidWord.make(strands, letters)
 
 

@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from torushom import curves
 from torushom.algebra import Q, RatFunc, q_poly_from_json, ratfunc_from_json, table_from_json
 from torushom.braid import half_twist, torus_braid
 from torushom.cli import dispatch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -164,6 +169,11 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 2
+
+    def test_malformed_word_names_the_letter(self, capsys):
+        code, out, err = run(capsys, "count", "--strands", "2", "--word", "1,x")
+        assert code == 2 and not out
+        assert "braid letter 'x' is not a signed integer" in err
 
     def test_domain_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "catalan", "2", "4")
@@ -407,3 +417,42 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "braid-variety-closed-forms")
         assert code == 0
         assert "3/3 checks passed" in out
+
+
+def run_fresh(code: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports torushom from src/."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result
+
+
+class TestImport:
+    # All arithmetic is integer, so numpy never calls BLAS; OpenBLAS is loaded
+    # with one thread and the environment is left as the user set it.
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_one_thread_and_environment_restored(self):
+        out = run_fresh(
+            "import os, torushom; "
+            "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)"
+        ).stdout
+        assert out.split() == ["1", "False"]
+
+    def test_user_setting_is_kept(self):
+        out = run_fresh(
+            "import os, torushom; print(os.environ['OPENBLAS_NUM_THREADS'])",
+            OPENBLAS_NUM_THREADS="3",
+        ).stdout
+        assert out.strip() == "3"
+
+    def test_numpy_imported_first(self):
+        out = run_fresh(
+            "import os; before = dict(os.environ); import numpy, torushom; "
+            "print(dict(os.environ) == before)"
+        ).stdout
+        assert out.strip() == "True"
