@@ -47,6 +47,15 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _of_clean(terms: dict[Exponent, int]) -> "LaurentPoly":
+        """The polynomial whose map is ``terms`` itself, not a copy: every
+        coefficient is nonzero and every a-exponent is >= 0."""
+        res = LaurentPoly.__new__(LaurentPoly)
+        res._terms = terms
+        res._hash = None
+        return res
+
+    @staticmethod
     def zero() -> "LaurentPoly":
         return LaurentPoly()
 
@@ -113,16 +122,10 @@ class LaurentPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        res._hash = None
-        return res
+        return LaurentPoly._of_clean(out)
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        res._hash = None
-        return res
+        return LaurentPoly._of_clean({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -139,10 +142,7 @@ class LaurentPoly:
                     out[exp] = s
                 else:
                     out.pop(exp, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        res._hash = None
-        return res
+        return LaurentPoly._of_clean(out)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:

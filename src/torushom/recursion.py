@@ -6,10 +6,14 @@ of the triply graded homology of the torus link T(m, n).  The all-zero pair
 is self-referential under the last rule and is resolved algebraically,
 which keeps every denominator a power of (1 - q).
 
-Evaluation is planned, then run without a cache.  The plan walks the
-distinct pairs reachable from the root and counts how many pairs consume
-each one.  The pairs are then evaluated children first, and each value is
-dropped as soon as its last consumer has read it.  A numerator is a dense
+Evaluation is planned, then run without a cache.  The plan is one
+depth-first walk over the distinct pairs reachable from the root, each
+string held as an integer with a leading 1 bit, and it counts how many
+steps read each pair.  A pair whose strings end in different bits is
+rewritten by the PASS rule to a single other pair; it is counted against
+the budgets but gets no step of its own, and its readers read the pair its
+chain reaches.  The other pairs are evaluated children first, and each value
+is dropped as soon as its last reader has read it.  A numerator is a dense
 integer array indexed [a, q, t] with offsets on each axis, so the rules
 become offset changes, slot shifts, shift-subtracts along q (multiplying by
 1 - q) and cumulative sums along q (dividing by it).  Each array is built in
@@ -39,14 +43,15 @@ from .algebra import (
 )
 
 # Admission budget of one evaluation, about 1 GB of memory in all.  The plan
-# stops past MAX_STATES distinct pairs: peak RSS per state measured 1.6 kB on
-# T(14,15) (49,137 states) and 1.5 kB on T(16,17) (196,591 states, admitted).
-# It also stops once its pairs hold MAX_PLAN_CHARS characters, since few
-# states may still have long strings (T(1, n) has about n^2 / 2); T(16,17)
-# holds 6.0 million.  Links need more per state (8.0 kB on T(14,14), 11 kB
-# on T(15,15)), so evaluation also stops before the numerators it holds
-# would pass MAX_LIVE_BYTES.  T(16,17) peaks at 183 MiB of them and T(15,15)
-# at 589 MiB; T(16,16) (131,071 states) passes the budget.  The Hecke fold
+# stops past MAX_STATES distinct pairs: peak RSS per state measured 1.4 kB on
+# T(14,15) (49,137 states) and on T(16,17) (196,591 states, admitted), about
+# half of them PASS pairs that hold no numerator.  It also stops once its
+# pairs hold MAX_PLAN_CHARS characters, since few states may still have long
+# strings (T(1, n) has about n^2 / 2); T(16,17) holds 6.0 million.  Links
+# have no PASS pairs and need more per state (7.9 kB on T(14,14), 11 kB on
+# T(15,15)), so evaluation also stops before the numerators it holds would
+# pass MAX_LIVE_BYTES.  T(16,17) peaks at 171 MiB of them and T(15,15) at
+# 589 MiB; T(16,16) (131,071 states) passes the budget.  The Hecke fold
 # reads the same MAX_LIVE_BYTES when it runs.
 MAX_STATES = 250_000
 MAX_PLAN_CHARS = 8_000_000
@@ -143,13 +148,14 @@ def _times_t_plus_a(x: _Num, ell: int, a0: bool = False) -> _Num:
     quotient by a it is t^ell * x, which shares x's array."""
     if a0:
         return _Num(x.arr, x.oa, x.oq, x.ot + ell, x.d, x.bound)
-    arr = _room(x, 2)
+    arr = x.arr if _rung(2 * x.bound) <= x.arr.dtype else _room(x, 2)
     na, nq, nt = arr.shape
     out = np.zeros((na + 1, nq, nt + abs(ell)), dtype=arr.dtype)
     s = max(ell, 0)
     out[:na, :, s:s + nt] = arr
     s = max(-ell, 0)
-    out[1:, :, s:s + nt] += arr
+    view = out[1:, :, s:s + nt]
+    view += arr  # in place, as in _sum_with_q
     return _Num(out, x.oa, x.oq, x.ot + min(ell, 0), x.d, 2 * x.bound)
 
 
@@ -186,7 +192,11 @@ def _normalize(arr, off, d: int, bound: int) -> _Num:
     trimmed = _trim(arr, off)
     if trimmed is None:
         return _Num(np.zeros((1, 1, 1), dtype=_rung(0)), 0, 0, 0, 0, 0)
-    x = _Num(trimmed[0], *trimmed[1], d, bound)
+    return _divide(_Num(trimmed[0], *trimmed[1], d, bound))
+
+
+def _divide(x: _Num) -> _Num:
+    """Cancel every common factor (1 - q) of x, whose array is trimmed."""
     while x.d > 0:
         # (1 - q) divides only if the value at a = q = t = 1 is 0.  An int64
         # sum may wrap, but a true zero stays zero, so the test is sound.
@@ -207,44 +217,40 @@ def _sum_with_q(head: _Num, tail: _Num, ell: int) -> _Num:
     """t^-ell * (head + q * tail), over the common denominator."""
     d = max(head.d, tail.d)
     kh, kt = d - head.d, d - tail.d
-    harr, tarr = _lift(_room(head, 2 << kh), kh), _lift(_room(tail, 2 << kt), kt)
+    harr, tarr = head.arr, tail.arr
+    dtype = np.result_type(harr, tarr)
+    # Unless the denominators differ or the sum may outgrow dtype, neither
+    # summand is lifted or widened.
+    if kh or kt or not _rung(head.bound + tail.bound) <= dtype:
+        harr, tarr = _lift(_room(head, 2 << kh), kh), _lift(_room(tail, 2 << kt), kt)
+        dtype = np.result_type(harr, tarr)
     (hna, hnq, hnt), (tna, tnq, tnt) = harr.shape, tarr.shape
-    toq = tail.oq + 1
-    oa, oq, ot = min(head.oa, tail.oa), min(head.oq, toq), min(head.ot, tail.ot)
+    ha, hq, ht, ta, tq, tt = head.oa, head.oq, head.ot, tail.oa, tail.oq + 1, tail.ot
+    oa, oq, ot = min(ha, ta), min(hq, tq), min(ht, tt)
     shape = (
-        max(head.oa + hna, tail.oa + tna) - oa,
-        max(head.oq + hnq, toq + tnq) - oq,
-        max(head.ot + hnt, tail.ot + tnt) - ot,
+        max(ha + hna, ta + tna) - oa,
+        max(hq + hnq, tq + tnq) - oq,
+        max(ht + hnt, tt + tnt) - ot,
     )
-    out = np.zeros(shape, dtype=np.result_type(harr, tarr))
-    a, q, t = head.oa - oa, head.oq - oq, head.ot - ot
-    out[a:a + hna, q:q + hnq, t:t + hnt] = harr
-    a, q, t = tail.oa - oa, toq - oq, tail.ot - ot
-    out[a:a + tna, q:q + tnq, t:t + tnt] += tarr
+    out = np.zeros(shape, dtype=dtype)
+    out[ha - oa:ha - oa + hna, hq - oq:hq - oq + hnq, ht - ot:ht - ot + hnt] = harr
+    view = out[ta - oa:ta - oa + tna, tq - oq:tq - oq + tnq, tt - ot:tt - ot + tnt]
+    view += tarr  # in place: out[...] += tarr would also copy the view back
     bound = (head.bound << kh) + (tail.bound << kt)
-    return _normalize(out, (oa, oq, ot - ell), d, bound)
+    # Each summand is trimmed, so only a border slice both reach can vanish.
+    nonzero = np.count_nonzero
+    if ((ha == ta and not nonzero(out[0]))
+            or (ha + hna == ta + tna and not nonzero(out[-1]))
+            or (hq == tq and not nonzero(out[:, 0]))
+            or (hq + hnq == tq + tnq and not nonzero(out[:, -1]))
+            or (ht == tt and not nonzero(out[:, :, 0]))
+            or (ht + hnt == tt + tnt and not nonzero(out[:, :, -1]))):
+        return _normalize(out, (oa, oq, ot - ell), d, bound)
+    return _divide(_Num(out, oa, oq, ot - ell, d, bound))
 
 
-# Plan steps: (rule, argument, child ids).
-_BASE, _MUL, _PASS, _DIV, _SUM = range(5)
-
-
-def _step(v: str, w: str):
-    """The rule that rewrites (v, w), its argument, and the pairs it reads."""
-    if not v or not w:
-        return _BASE, len(v) + len(w), ()
-    last = (v[-1], w[-1])
-    if last == ("1", "1"):
-        return _MUL, v.count("1") - 1, ((v[:-1], w[:-1]),)
-    if last == ("0", "1"):
-        return _PASS, 0, ((v[:-1], "1" + w[:-1]),)
-    if last == ("1", "0"):
-        return _PASS, 0, (("1" + v[:-1], w[:-1]),)
-    ones = ("1" + v[:-1], "1" + w[:-1])
-    if "1" not in v and "1" not in w:
-        # Self-referential case: p = p(1v', 1w') + q p  =>  p = p(1v', 1w')/(1-q).
-        return _DIV, 0, (ones,)
-    return _SUM, v.count("1"), (ones, ("0" + v[:-1], "0" + w[:-1]))
+# Plan steps: (rule, argument, ids of the values it reads).
+_BASE, _MUL, _DIV, _SUM = range(4)
 
 
 def _refusal(length: int, need: str) -> ValueError:
@@ -258,55 +264,71 @@ def _chars_refusal(length: int) -> ValueError:
 
 
 def _plan(v: str, w: str):
-    """Steps in evaluation order (children first) and consumer counts.
+    """Steps in evaluation order (children first), consumer counts, and the
+    id of the root's value.
 
-    Raises ValueError as soon as more than MAX_STATES distinct pairs, or
-    pairs of more than MAX_PLAN_CHARS characters, are reachable, before any
-    series is evaluated.
+    One depth-first walk over the pairs reachable from (v, w), (1v', 1w')
+    child first; the other order held 1.9x as many live bytes at the peak of
+    T(14,15).  A string s is held as the integer int("1" + s, 2), so s[:-1]
+    is x >> 1 and s has x.bit_count() - 1 ones.  A PASS pair, whose strings
+    end in different bits, gets no step: it is an alias for the first other
+    pair its chain reaches.  Raises ValueError as soon as more than
+    MAX_STATES distinct pairs, PASS pairs included, or pairs of more than
+    MAX_PLAN_CHARS characters, are reachable, before any series is evaluated.
     """
-    ids = {(v, w): 0}
-    pairs = [(v, w)]
-    chars = len(v) + len(w)
-    steps = []
-    for pair in pairs:  # grows while iterating: a breadth-first walk
-        rule, arg, kids = _step(*pair)
-        kid_ids = []
-        for kid in kids:
-            j = ids.get(kid)
-            if j is None:
-                j = ids[kid] = len(pairs)
-                pairs.append(kid)
-                chars += len(kid[0]) + len(kid[1])
-                if j >= MAX_STATES:
-                    need = f"{MAX_STATES} recursion states (the admission budget)"
-                    raise _refusal(len(v) + len(w), need)
-                if chars > MAX_PLAN_CHARS:
-                    raise _chars_refusal(len(v) + len(w))
-            kid_ids.append(j)
-        steps.append((rule, arg, tuple(kid_ids)))
-    del ids, pairs  # the strings are not needed past this point
-    consumers = [0] * len(steps)
-    for _, _, kids in steps:
-        for j in kids:
-            consumers[j] += 1
-    # Depth-first post-order from the root: children before parents.  The
-    # (1v', 1w') child of a sum goes first; the other order held 1.9x as many
-    # live bytes at the peak of T(14,15).
-    order = []
-    done = [False] * len(steps)
-    stack = [(0, 0)]
+    length = len(v) + len(w)
+    root = (int("1" + v, 2), int("1" + w, 2))
+    ids = {}  # pair -> id of its value; None while its walk is open
+    steps, consumers = [], []
+    chars = 0
+    stack = [root]
     while stack:
-        i, k = stack.pop()
-        kids = steps[i][2]
-        if k < len(kids):
-            stack.append((i, k + 1))
-            j = kids[k]
-            if not done[j]:
-                done[j] = True  # claimed here, so it is pushed once
-                stack.append((j, 0))
-        else:
-            order.append(i)
-    return steps, order, consumers
+        item = stack.pop()
+        if len(item) == 5:  # every child of the pair has its id
+            pair, rule, arg, kids, chain = item
+            i = ids[pair] = len(steps)
+            for alias in chain:
+                ids[alias] = i
+            kids = tuple([ids[kid] for kid in kids])
+            for j in kids:
+                consumers[j] += 1
+            steps.append((rule, arg, kids))
+            consumers.append(0)
+            continue
+        chain = []  # the PASS pairs walked to reach item
+        while item not in ids:
+            x, y = item
+            lx, ly = x.bit_length() - 1, y.bit_length() - 1
+            chars += lx + ly
+            if ids:  # each pair past the root is checked as it is reached
+                if len(ids) >= MAX_STATES:
+                    need = f"{MAX_STATES} recursion states (the admission budget)"
+                    raise _refusal(length, need)
+                if chars > MAX_PLAN_CHARS:
+                    raise _chars_refusal(length)
+            ids[item] = None
+            if not lx or not ly:
+                rule, arg, kids = _BASE, lx + ly, ()
+            elif (x ^ y) & 1:  # PASS: (v'0, w'1) -> (v', 1w'), (v'1, w'0) -> (1v', w')
+                chain.append(item)
+                item = ((x >> 1) | 1 << lx, y >> 1) if x & 1 else (x >> 1, (y >> 1) | 1 << ly)
+                continue
+            elif x & 1:
+                rule, arg, kids = _MUL, x.bit_count() - 2, ((x >> 1, y >> 1),)
+            elif x.bit_count() == 1:
+                # Self-referential case: p = p(1v', 1w') + q p  =>  p = p(1v', 1w')/(1-q).
+                rule, arg, kids = _DIV, 0, (((x >> 1) | 1 << lx, (y >> 1) | 1 << ly),)
+            else:
+                ones = ((x >> 1) | 1 << lx, (y >> 1) | 1 << ly)
+                zeros = ((x >> 1) + (1 << lx - 1), (y >> 1) + (1 << ly - 1))
+                rule, arg, kids = _SUM, x.bit_count() - 1, (ones, zeros)
+            stack.append((item, rule, arg, kids, chain))
+            stack.extend(reversed(kids))
+            break
+        else:  # the chain reached a pair with an id
+            for alias in chain:
+                ids[alias] = ids[item]
+    return steps, consumers, ids[root]
 
 
 def _nbytes(x) -> int:
@@ -323,26 +345,23 @@ def _base_bytes(n: int) -> int:
 
 def _evaluate(v: str, w: str, a0: bool = False) -> _Num:
     """The series of (v, w), or with ``a0`` its a = 0 part."""
-    steps, order, consumers = _plan(v, w)
+    steps, consumers, root = _plan(v, w)
     values: list[_Num | None] = [None] * len(steps)
     held = [0] * len(steps)
     live = 0  # bytes held by stored values; a shared value may count twice
     memory = f"{MAX_LIVE_BYTES >> 20} MiB of live numerators (the memory budget)"
-    for i in order:
-        rule, arg, kids = steps[i]
-        if rule == _BASE:
+    for i, (rule, arg, kids) in enumerate(steps):
+        if rule == _SUM:
+            res = _sum_with_q(values[kids[0]], values[kids[1]], arg)
+        elif rule == _MUL:
+            res = _times_t_plus_a(values[kids[0]], arg, a0)
+        elif rule == _DIV:
+            x = values[kids[0]]
+            res = _divide(_Num(x.arr, x.oa, x.oq, x.ot, x.d + 1, x.bound))
+        else:
             if not a0 and live + _base_bytes(arg) > MAX_LIVE_BYTES:
                 raise _refusal(len(v) + len(w), memory)
             res = _base(arg, a0)
-        elif rule == _MUL:
-            res = _times_t_plus_a(values[kids[0]], arg, a0)
-        elif rule == _PASS:
-            res = values[kids[0]]
-        elif rule == _DIV:
-            x = values[kids[0]]
-            res = _normalize(x.arr, (x.oa, x.oq, x.ot), x.d + 1, x.bound)
-        else:
-            res = _sum_with_q(values[kids[0]], values[kids[1]], arg)
         values[i] = res
         held[i] = _nbytes(res)
         live += held[i]
@@ -353,17 +372,18 @@ def _evaluate(v: str, w: str, a0: bool = False) -> _Num:
             if not consumers[j]:
                 values[j] = None
                 live -= held[j]
-    return values[0]
+    return values[root]
 
 
 def _to_ratfunc(x: _Num) -> RatFunc:
+    # x is trimmed, so x.oa is its least a-exponent, and np.nonzero drops
+    # the zero terms that LaurentPoly would otherwise filter out.
+    if x.oa < 0:
+        raise ValueError(f"negative a-exponent {x.oa}")
     index = np.nonzero(x.arr)
     coeffs = x.arr[index].tolist()  # Python ints, whatever the dtype
-    ea, eq, et = (axis.tolist() for axis in index)
-    terms = {
-        (a + x.oa, q + x.oq, t + x.ot): c for a, q, t, c in zip(ea, eq, et, coeffs)
-    }
-    return RatFunc(LaurentPoly(terms), x.d)
+    exps = zip(*((axis + off).tolist() for axis, off in zip(index, (x.oa, x.oq, x.ot))))
+    return RatFunc(LaurentPoly._of_clean(dict(zip(exps, coeffs))), x.d)
 
 
 def _validate(v: str, w: str) -> None:

@@ -37,6 +37,16 @@ def mono(c, ea=0, eq=0, et=0):
 BASE = RatFunc.of(ONE + A, 1)
 
 
+def as_num(p: LaurentPoly, d: int = 0) -> recursion._Num:
+    """p / (1 - q)^d as a trimmed int16 numerator."""
+    lo = [min(e[k] for e in p.terms) for k in range(3)]
+    hi = [max(e[k] for e in p.terms) for k in range(3)]
+    arr = np.zeros([h - l + 1 for h, l in zip(hi, lo)], dtype=np.int16)
+    for e, c in p.items():
+        arr[tuple(x - l for x, l in zip(e, lo))] = c
+    return recursion._Num(arr, *lo, d, max(abs(c) for _, c in p.items()))
+
+
 class TestPairSeries:
     def test_empty_pair(self):
         assert pair_series("", "") == RatFunc.one()
@@ -118,6 +128,75 @@ def reference_series(v: str, w: str) -> RatFunc:
     return p(v, w)
 
 
+def reference_plan(v: str, w: str):
+    """The plan on strings, kept as a reference: a breadth-first walk over
+    every distinct pair, then a depth-first post-order from the root,
+    (1v', 1w') child first.  Returns the pairs, their steps (rule, argument,
+    child ids) and the post-order."""
+
+    def step(v: str, w: str):
+        if not v or not w:
+            return "base", len(v) + len(w), ()
+        last = (v[-1], w[-1])
+        if last == ("1", "1"):
+            return "mul", v.count("1") - 1, ((v[:-1], w[:-1]),)
+        if last == ("0", "1"):
+            return "pass", 0, ((v[:-1], "1" + w[:-1]),)
+        if last == ("1", "0"):
+            return "pass", 0, (("1" + v[:-1], w[:-1]),)
+        ones = ("1" + v[:-1], "1" + w[:-1])
+        if "1" not in v and "1" not in w:
+            return "div", 0, (ones,)
+        return "sum", v.count("1"), (ones, ("0" + v[:-1], "0" + w[:-1]))
+
+    ids = {(v, w): 0}
+    pairs = [(v, w)]
+    steps = []
+    for pair in pairs:  # grows while iterating
+        rule, arg, kids = step(*pair)
+        for kid in kids:
+            if kid not in ids:
+                ids[kid] = len(pairs)
+                pairs.append(kid)
+        steps.append((rule, arg, tuple(ids[kid] for kid in kids)))
+    order, done, stack = [], {0}, [(0, 0)]
+    while stack:
+        i, k = stack.pop()
+        kids = steps[i][2]
+        if k < len(kids):
+            stack.append((i, k + 1))
+            if kids[k] not in done:
+                done.add(kids[k])
+                stack.append((kids[k], 0))
+        else:
+            order.append(i)
+    return pairs, steps, order
+
+
+def expected_plan(v: str, w: str):
+    """What recursion._plan must return for (v, w): the reference post-order
+    with every PASS pair dropped and read through to the pair its chain
+    reaches, consumer counts, and the root's id."""
+    _, steps, order = reference_plan(v, w)
+
+    def target(i: int) -> int:
+        while steps[i][0] == "pass":
+            i = steps[i][2][0]
+        return i
+
+    kept = [i for i in order if steps[i][0] != "pass"]
+    position = {i: k for k, i in enumerate(kept)}
+    rules = {"base": recursion._BASE, "mul": recursion._MUL,
+             "div": recursion._DIV, "sum": recursion._SUM}
+    plan = [(rules[steps[i][0]], steps[i][1], tuple(position[target(j)] for j in steps[i][2]))
+            for i in kept]
+    consumers = [0] * len(plan)
+    for _, _, kids in plan:
+        for j in kids:
+            consumers[j] += 1
+    return plan, consumers, position[target(0)]
+
+
 def poly_digest(p: LaurentPoly) -> str:
     text = ";".join(f"{a},{q},{t},{c}" for (a, q, t), c in sorted(p.items()))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -177,6 +256,38 @@ class TestAgainstReference:
         assert series_pin(hhh_torus(m, n)) == PAST_INT16[m, n]
 
 
+class TestPlanAgainstReference:
+    @staticmethod
+    def check(monkeypatch, v: str, w: str) -> None:
+        assert recursion._plan(v, w) == expected_plan(v, w)
+        # The walk counts every distinct pair, PASS pairs included, and their
+        # characters: the budgets admit exactly the reference's totals.
+        pairs = reference_plan(v, w)[0]
+        if len(pairs) == 1:
+            return  # the root alone is never refused
+        chars = sum(len(a) + len(b) for a, b in pairs)
+        for name, total, message in [("MAX_STATES", len(pairs), "recursion states"),
+                                     ("MAX_PLAN_CHARS", chars, "characters")]:
+            monkeypatch.setattr(recursion, name, total)
+            recursion._plan(v, w)
+            monkeypatch.setattr(recursion, name, total - 1)
+            with pytest.raises(ValueError, match=f"needs more than {total - 1} {message}"):
+                recursion._plan(v, w)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "v,w", [("0" * 6, "0" * 7), ("0" * 7, "0" * 7), ("0" * 11, "0" * 12), ("01", "10")]
+    )
+    def test_torus_roots_and_a_pass_root(self, monkeypatch, v, w):
+        self.check(monkeypatch, v, w)
+
+    @given(balanced_pairs())
+    @settings(deadline=None, max_examples=100)
+    def test_random_balanced_pairs(self, pair):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(monkeypatch, *pair)
+
+
 class TestEngineKernels:
     # No torus or random pair seen so far cancels a border slice or leaves a
     # (1 - q) to divide out, so these paths are checked on made-up numerators.
@@ -188,6 +299,29 @@ class TestEngineKernels:
         x = recursion._normalize(arr, (0, 0, 0), 3, 2)
         assert (x.arr.shape, x.d) == ((2, 1, 2), 1)
         assert recursion._to_ratfunc(x) == RatFunc.of(ONE + A * T, 1)
+
+    def test_sum_cancels_the_low_a_border(self):
+        # (q + a + aq) + q * (-1): the a^0 slices cancel.
+        x = recursion._sum_with_q(as_num(Q + A + A * Q), as_num(-ONE), 2)
+        assert (x.arr.shape, x.oa) == ((1, 2, 1), 1)
+        assert recursion._to_ratfunc(x) == RatFunc.of(A * (ONE + Q) * mono(1, et=-2))
+
+    def test_sum_cancels_the_high_q_border(self):
+        # (1 + q) + q * (-1): the q^1 slices cancel.
+        x = recursion._sum_with_q(as_num(ONE + Q), as_num(-ONE), 0)
+        assert x.arr.shape == (1, 1, 1)
+        assert recursion._to_ratfunc(x) == RatFunc.of(ONE)
+
+    def test_sum_divides_at_equal_denominators(self):
+        # (1 + q * (-1)) / (1 - q) = 1: no border vanishes, yet 1 - q divides.
+        x = recursion._sum_with_q(as_num(ONE, 1), as_num(-ONE, 1), 0)
+        assert (x.arr.shape, x.d) == ((1, 1, 1), 0)
+        assert recursion._to_ratfunc(x) == RatFunc.of(ONE)
+
+    def test_sum_lifts_unequal_denominators(self):
+        # 1 + q / (1 - q) = 1 / (1 - q): the head is lifted to (1 - q) / (1 - q).
+        x = recursion._sum_with_q(as_num(ONE), as_num(ONE, 1), 0)
+        assert recursion._to_ratfunc(x) == RatFunc(ONE, 1)
 
     def test_normalize_zero(self):
         x = recursion._normalize(np.zeros((1, 2, 1), dtype=np.int64), (0, 0, 0), 2, 0)
@@ -272,6 +406,14 @@ class TestEngineLimits:
         with pytest.raises(ValueError, match="total length 11 needs more than 10 recursion states"):
             hhh_torus(5, 6)
         assert hhh_torus(1, 2) == reference_series("0", "00")
+
+    def test_state_boundary(self, monkeypatch):
+        # T(6,7) reaches 185 distinct pairs, PASS pairs included.
+        monkeypatch.setattr(recursion, "MAX_STATES", 185)
+        assert hhh_torus(6, 7) == reference_series("0" * 6, "0" * 7)
+        monkeypatch.setattr(recursion, "MAX_STATES", 184)
+        with pytest.raises(ValueError, match="length 13 needs more than 184 recursion states"):
+            hhh_torus(6, 7)
 
     def test_plan_character_budget(self, monkeypatch):
         # T(1, 40) has 42 states but strings of up to 40 characters.
