@@ -199,7 +199,7 @@ def divide_by_one_minus_q(p: LaurentPoly) -> Optional[LaurentPoly]:
         # Exactness: the top coefficient must cancel the final carry.
         if coeffs.get(hi, 0) + carry != 0:
             return None
-    return LaurentPoly(out)
+    return LaurentPoly._of_clean(out)
 
 
 def divide_by_one_plus_a(p: LaurentPoly) -> Optional[LaurentPoly]:
@@ -217,7 +217,7 @@ def divide_by_one_plus_a(p: LaurentPoly) -> Optional[LaurentPoly]:
                 out[(k, eq, et)] = prev
         if coeffs.get(hi, 0) - prev != 0:
             return None
-    return LaurentPoly(out)
+    return LaurentPoly._of_clean(out)
 
 
 @dataclass(frozen=True)

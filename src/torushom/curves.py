@@ -20,10 +20,11 @@ JACOBIAN = "jacobian"
 HILB = "hilb"
 
 # Admission budget for enumerating modules: their number times their window
-# length, in bits (see ``_admit``).  Measured on 2 cores, Jacobian cells cost
-# 0.8-1.6 us and up to 20 bytes of peak RSS per bit over the 28 MB start-up,
-# Hilbert levels 0.5-0.8 us and almost no memory, so this bounds one command
-# near 6 s and 110 MB; (10,11), with 1.7 million bits, takes 1.4-1.8 s at 56 MB.
+# length, in bits (see ``_admit``).  Measured on 2 cores through the CLI with
+# --json, Jacobian cells cost 0.06-0.16 us and up to 8 bytes of peak RSS per
+# bit over the 29 MB start-up, Hilbert levels 0.04-0.06 us and at most 1 byte,
+# so this bounds one command near 0.7 s and 62 MB; (10,11), with 1.7 million
+# bits, takes 0.2-0.27 s at 42 MB.
 MAX_MODULE_BITS = 4_000_000
 
 # Admission budget for the node series, in levels (colengths 0..kmax).  Each
@@ -63,15 +64,21 @@ class Semigroup:
         return Semigroup(m, n, conductor, conductor // 2, gaps)
 
     def member(self, j: int) -> bool:
-        if j < 0:
-            return False
-        if j >= self.conductor:
-            return True
-        return j not in self._gap_set
+        return j >= 0 and not self._gap_mask >> j & 1
 
     @cached_property
-    def _gap_set(self) -> frozenset:
-        return frozenset(self.gaps)
+    def _gap_mask(self) -> int:
+        """Bit j set exactly when j is a gap.  Below the conductor, Gamma is
+        the union of the multiples of the smaller generator shifted by each
+        multiple of the larger: one base-2^lo repunit, OR-ed in lo - 1 times
+        or fewer."""
+        lo, hi = sorted((self.m, self.n))
+        c = self.conductor
+        row = ((1 << lo * (c // lo + 1)) - 1) // ((1 << lo) - 1)
+        gamma = 0
+        for shift in range(0, c, hi):
+            gamma |= row << shift
+        return ((1 << c) - 1) & ~gamma
 
 
 def semigroup(m: int, n: int) -> Semigroup:
@@ -108,77 +115,106 @@ def lattice_path_count(m: int, n: int) -> int:
     return counts.get((n, 0), 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class GammaModule:
-    """Subset of Z>=0 closed under adding m and n, over window [0, span);
-    every ambient exponent >= span belongs to the module."""
+    """Subset Delta of Z>=0 closed under adding m and n, over window
+    [0, span); every ambient exponent >= span belongs to the module.
+
+    Delta is held as the integer ``mask`` whose bit j is set exactly when
+    j is in Delta on the window.  The window is canonical, trimmed to
+    max(conductor, last missing exponent + 1) + max(m, n), so its top bit
+    is always set, span is ``mask.bit_length()``, and equal modules built
+    over different windows compare equal.  ``bits`` reads the window back
+    as a tuple of bools."""
 
     sem: Semigroup
     mode: str
-    bits: tuple[bool, ...]
+    mask: int
 
-    def __post_init__(self):
-        if self.mode not in (JACOBIAN, HILB):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        m, n = self.sem.m, self.sem.n
+    def __init__(self, sem: Semigroup, mode: str, bits: tuple[bool, ...]):
+        if mode not in (JACOBIAN, HILB):
+            raise ValueError(f"unknown mode {mode!r}")
+        m, n = sem.m, sem.n
+        given = len(bits)
+        # Byte j of the bools is hex digit 2j + 1, so the odd digits read
+        # backwards are the binary numeral of the mask.
+        mask = int(bytes(map(bool, bits)).hex()[::-2] or "0", 2)
         # Canonical window: extend with ambient membership, then trim the
-        # all-present tail to conductor/last-gap + max(m, n), so that equal
-        # modules built over different windows compare equal.
-        bits = list(self.bits)
-        last_missing = max(
-            (j for j, b in enumerate(bits) if not b), default=-1
-        )
-        required = max(self.sem.conductor, last_missing + 1) + max(m, n)
-        while len(bits) < required:
-            j = len(bits)
-            bits.append(True if self.mode == JACOBIAN else self.sem.member(j))
-        object.__setattr__(self, "bits", tuple(bits[:required]))
-        span = len(self.bits)
-        for j in range(span):
-            if not self.bits[j]:
-                continue
-            for s in (m, n):
-                if j + s < span and not self.bits[j + s]:
-                    raise ValueError(f"not closed: {j} in module but {j + s} not")
-        if self.mode == JACOBIAN:
-            if not self.bits or not self.bits[0]:
+        # all-present tail.
+        last_missing = (((1 << given) - 1) ^ mask).bit_length() - 1
+        span = max(sem.conductor, last_missing + 1) + max(m, n)
+        window = (1 << span) - 1
+        if given < span:
+            ambient = window if mode == JACOBIAN else window & ~sem._gap_mask
+            mask |= ambient >> given << given
+        mask &= window
+        # j in Delta with j + s < span outside it: name the lowest such j,
+        # and for that j try m before n.
+        open_m = mask & ~(mask >> m) & window >> m
+        open_n = mask & ~(mask >> n) & window >> n
+        if open_m | open_n:
+            low = (open_m | open_n) & -(open_m | open_n)
+            j = low.bit_length() - 1
+            raise ValueError(
+                f"not closed: {j} in module but {j + (m if open_m & low else n)} not"
+            )
+        if mode == JACOBIAN:
+            if not mask & 1:
                 raise ValueError("jacobian modules must contain 0")
-        else:
-            for j in range(span):
-                if self.bits[j] and not self.sem.member(j):
-                    raise ValueError("hilb ideals must sit inside the semigroup")
+        elif mask & sem._gap_mask:
+            raise ValueError("hilb ideals must sit inside the semigroup")
+        object.__setattr__(self, "sem", sem)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _of_mask(cls, sem: Semigroup, mode: str, mask: int) -> "GammaModule":
+        """The module whose canonical mask is ``mask``, built unchecked."""
+        mod = object.__new__(cls)
+        object.__setattr__(mod, "sem", sem)
+        object.__setattr__(mod, "mode", mode)
+        object.__setattr__(mod, "mask", mask)
+        return mod
+
+    def __repr__(self) -> str:
+        return f"GammaModule(sem={self.sem!r}, mode={self.mode!r}, bits={self.bits!r})"
+
+    @property
+    def bits(self) -> tuple[bool, ...]:
+        return tuple(map("1".__eq__, self.bits_str()))
 
     @property
     def span(self) -> int:
-        return len(self.bits)
+        return self.mask.bit_length()
 
     def member(self, j: int) -> bool:
-        if j < 0:
-            return False
-        if j >= self.span:
-            return True
-        return self.bits[j]
+        return j >= 0 and (j >= self.span or bool(self.mask >> j & 1))
 
     def minimal_generators(self) -> tuple[int, ...]:
         """The j in the module with neither j - m nor j - n in it."""
-        m, n, bits = self.sem.m, self.sem.n, self.bits
-        return tuple(
-            j
-            for j, present in enumerate(bits)
-            if present and not (j >= m and bits[j - m]) and not (j >= n and bits[j - n])
-        )
+        d = self.mask
+        return _positions(d & ~(d << self.sem.m) & ~(d << self.sem.n))
 
     def colength(self) -> int:
         """|Gamma \\ Delta| in hilb mode; number of missing ambient exponents
         in jacobian mode."""
+        missing = ((1 << self.span) - 1) ^ self.mask
         if self.mode == HILB:
-            return sum(
-                1 for j in range(self.span) if self.sem.member(j) and not self.bits[j]
-            )
-        return sum(1 for j in range(self.span) if not self.bits[j])
+            missing &= ~self.sem._gap_mask
+        return missing.bit_count()
 
     def bits_str(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return bin(self.mask)[:1:-1]
+
+
+def _positions(mask: int) -> tuple[int, ...]:
+    """The j with bit j of ``mask`` set, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _admit(m: int, n: int, kmax: Optional[int] = None) -> Semigroup:
@@ -213,56 +249,48 @@ def _admit(m: int, n: int, kmax: Optional[int] = None) -> Semigroup:
 def enumerate_jacobian_modules(m: int, n: int) -> list[GammaModule]:
     """All 0-normalized (m, n)-invariant subsets of Z>=0."""
     sem = _admit(m, n)
-    span = sem.conductor + max(m, n)
-    base = [sem.member(j) for j in range(span)]
-    gaps_desc = sorted(sem.gaps, reverse=True)
-    results: list[GammaModule] = []
-    # Depth-first over the gaps, largest first: a gap may join the module
-    # once both of its shifts are in it.  Iterative, since the depth is delta.
-    stack: list[tuple[int, frozenset]] = [(0, frozenset())]
-    while stack:
-        idx, chosen = stack.pop()
-        if idx == len(gaps_desc):
-            bits = list(base)
-            for h in chosen:
-                bits[h] = True
-            results.append(GammaModule(sem, JACOBIAN, tuple(bits)))
-            continue
-        h = gaps_desc[idx]
-        stack.append((idx + 1, chosen))
-        if all(sem.member(h + s) or (h + s) in chosen for s in (m, n)):
-            stack.append((idx + 1, chosen | {h}))
-    return sorted(results, key=lambda d: d.bits)
+    level = [((1 << sem.conductor + max(m, n)) - 1) & ~sem._gap_mask]
+    # Gaps largest first: gap h may join a module once h + m and h + n are
+    # in it.  Each pass appends the modules that gain h after those that do
+    # not, so the list stays sorted by the bits tuple: the gaps are the only
+    # bits that differ, and a smaller gap weighs more.
+    for h in reversed(sem.gaps):
+        need = 1 << h + m | 1 << h + n
+        level += [d | 1 << h for d in level if d & need == need]
+    return [GammaModule._of_mask(sem, JACOBIAN, d) for d in level]
 
 
 def _hilb_levels(sem: Semigroup, kmax: int):
-    """Yield, for k = 0, ..., kmax, the ideals of colength k as their sets
+    """Yield, for k = 0, ..., kmax, the ideals of colength k as the masks of
     Gamma \\ Delta, each level grown from the one before by removing one
-    more element."""
+    more element: 0 first, then a shift by m or n of one already removed
+    whose own shifts back by m and n are outside Delta."""
     m, n = sem.m, sem.n
-    level: set[frozenset] = {frozenset()}
+    # Gamma \ Delta lies below conductor + k at colength k (see _admit).
+    gamma = ((1 << sem.conductor + kmax + max(m, n)) - 1) & ~sem._gap_mask
+    level = {0}
     for k in range(kmax + 1):
         if k:
-            nxt: set[frozenset] = set()
+            nxt = set()
             for removed in level:
-                candidates = {0} if not removed else set()
-                for r in removed:
-                    for s in (m, n):
-                        candidates.add(r + s)
-                for x in candidates:
-                    if x in removed or not sem.member(x):
-                        continue
-                    if all(not sem.member(x - s) or (x - s) in removed for s in (m, n)):
-                        nxt.add(removed | {x})
+                kept = gamma & ~removed
+                grow = (
+                    (removed << m | removed << n or 1)
+                    & kept & ~(kept << m) & ~(kept << n)
+                )
+                while grow:
+                    low = grow & -grow
+                    nxt.add(removed | low)
+                    grow ^= low
             level = nxt
         yield level
 
 
-def _hilb_ideal(sem: Semigroup, removed: frozenset) -> GammaModule:
-    top = max(removed) if removed else 0
-    span = max(sem.conductor, top + 1) + max(sem.m, sem.n)
-    bits = tuple(sem.member(j) and j not in removed for j in range(span))
-    return GammaModule(sem, HILB, bits)
+def _hilb_ideal(sem: Semigroup, removed: int) -> GammaModule:
+    span = max(sem.conductor, removed.bit_length()) + max(sem.m, sem.n)
+    return GammaModule._of_mask(
+        sem, HILB, ((1 << span) - 1) & ~sem._gap_mask & ~removed
+    )
 
 
 def enumerate_hilb_ideals(m: int, n: int, k: int) -> list[GammaModule]:
@@ -270,7 +298,7 @@ def enumerate_hilb_ideals(m: int, n: int, k: int) -> list[GammaModule]:
     sem = _admit(m, n, k)
     for level in _hilb_levels(sem, k):
         pass
-    return sorted((_hilb_ideal(sem, r) for r in level), key=lambda d: d.bits)
+    return sorted((_hilb_ideal(sem, r) for r in level), key=GammaModule.bits_str)
 
 
 @dataclass(frozen=True)
@@ -296,18 +324,16 @@ def cell_dimension(mod: GammaModule) -> CellRecord:
     m-generators), the cell has dimension
         sum_r #{x in A \\ Delta : a_r < x < a_r + n},
     where A is Z>=0 for a Jacobian module and Gamma for a Hilbert ideal
-    (Piontkowski; Gorsky-Mazin).  One pass over the window reads the a_r
-    and the running count below[j] = #{x in A \\ Delta : x < j}; each term
-    is a difference of two counts, as Delta holds every x past the window."""
-    m, n, bits = mod.sem.m, mod.sem.n, mod.bits
-    ambient = mod.mode == JACOBIAN
-    below, least = [0], []
-    for j, present in enumerate(bits):
-        if present and (j < m or not bits[j - m]):
-            least.append(j)
-        below.append(below[-1] + (not present and (ambient or mod.sem.member(j))))
-    dimension = sum(below[min(a + n, len(bits))] - below[a + 1] for a in least)
-    return CellRecord(mod, mod.minimal_generators(), dimension)
+    (Piontkowski; Gorsky-Mazin).  On masks the a_r are Delta & ~(Delta << m),
+    and the sum is sum_{d=1}^{n-1} |(A \\ Delta) & (a << d)|, one popcount per
+    offset; A \\ Delta lies inside the window, as Delta holds every x past it."""
+    m, n, delta = mod.sem.m, mod.sem.n, mod.mask
+    missing = ((1 << delta.bit_length()) - 1) ^ delta
+    if mod.mode == HILB:
+        missing &= ~mod.sem._gap_mask
+    least = delta & ~(delta << m)
+    dimension = sum((missing & least << d).bit_count() for d in range(1, n))
+    return CellRecord(mod, _positions(least & ~(delta << n)), dimension)
 
 
 def jacobian_cells(m: int, n: int) -> list[CellRecord]:

@@ -173,6 +173,19 @@ class TestRatFunc:
         assert divide_by_one_plus_a((ONE + A) * (T + Q)) == T + Q
         assert divide_by_one_plus_a(ONE + A + A * A) is None
 
+    @given(polys, st.sampled_from([(divide_by_one_plus_a, ONE + A),
+                                   (divide_by_one_minus_q, ONE - Q)]),
+           exponents, st.integers(1, 9))
+    def test_division_round_trip(self, p, division, exp, c):
+        # The quotient is built without a cleaning pass, so its stored map
+        # must already hold no zero coefficient.
+        divide, factor = division
+        quotient = divide(factor * p)
+        assert quotient == p
+        assert 0 not in quotient.terms.values()
+        # A monomial is no multiple of 1 + a or 1 - q, so neither is the sum.
+        assert divide(factor * p + LaurentPoly({exp: c})) is None
+
 
 class TestSeriesTruncate:
     def test_geometric(self):

@@ -134,6 +134,127 @@ def counted_dimension(cell: CellRecord, p_set=CELL_PRIMES) -> int:
     return dims[0]
 
 
+# -- the per-bit code the masks replaced, kept as references -------------------
+
+def _in_gamma(sem, j: int) -> bool:
+    return j >= 0 and j not in sem.gaps
+
+
+def _ref_canonical(sem, mode: str, bits) -> tuple[bool, ...]:
+    """The canonical window of the module given by ``bits``, or the
+    ValueError that building it must raise, checked bit by bit."""
+    if mode not in (JACOBIAN, HILB):
+        raise ValueError(f"unknown mode {mode!r}")
+    m, n = sem.m, sem.n
+    bits = [bool(b) for b in bits]
+    last_missing = max((j for j, b in enumerate(bits) if not b), default=-1)
+    required = max(sem.conductor, last_missing + 1) + max(m, n)
+    while len(bits) < required:
+        bits.append(mode == JACOBIAN or _in_gamma(sem, len(bits)))
+    bits = tuple(bits[:required])
+    for j in range(required):
+        if not bits[j]:
+            continue
+        for s in (m, n):
+            if j + s < required and not bits[j + s]:
+                raise ValueError(f"not closed: {j} in module but {j + s} not")
+    if mode == JACOBIAN:
+        if not bits[0]:
+            raise ValueError("jacobian modules must contain 0")
+    elif any(b and not _in_gamma(sem, j) for j, b in enumerate(bits)):
+        raise ValueError("hilb ideals must sit inside the semigroup")
+    return bits
+
+
+def _ref_generators(sem, bits) -> tuple[int, ...]:
+    m, n = sem.m, sem.n
+    return tuple(
+        j
+        for j, present in enumerate(bits)
+        if present and not (j >= m and bits[j - m]) and not (j >= n and bits[j - n])
+    )
+
+
+def _ref_colength(sem, mode: str, bits) -> int:
+    if mode == HILB:
+        return sum(1 for j, b in enumerate(bits) if _in_gamma(sem, j) and not b)
+    return sum(1 for b in bits if not b)
+
+
+def _ref_dimension(sem, mode: str, bits) -> int:
+    """The gap formula by one running count over the window."""
+    m, n = sem.m, sem.n
+    below, least = [0], []
+    for j, present in enumerate(bits):
+        if present and (j < m or not bits[j - m]):
+            least.append(j)
+        below.append(below[-1] + (not present and (mode == JACOBIAN or _in_gamma(sem, j))))
+    return sum(below[min(a + n, len(bits))] - below[a + 1] for a in least)
+
+
+def _ref_jacobian_bits(sem) -> list[tuple[bool, ...]]:
+    """Depth first over the gaps, largest first; sorted."""
+    m, n = sem.m, sem.n
+    span = sem.conductor + max(m, n)
+    gaps_desc = sorted(sem.gaps, reverse=True)
+    out = []
+    stack = [(0, frozenset())]
+    while stack:
+        idx, chosen = stack.pop()
+        if idx == len(gaps_desc):
+            out.append(tuple(_in_gamma(sem, j) or j in chosen for j in range(span)))
+            continue
+        h = gaps_desc[idx]
+        stack.append((idx + 1, chosen))
+        if all(_in_gamma(sem, h + s) or h + s in chosen for s in (m, n)):
+            stack.append((idx + 1, chosen | {h}))
+    return sorted(out)
+
+
+def _ref_hilb_levels(sem, kmax: int):
+    """The sets Gamma \\ Delta of colength k = 0, ..., kmax, as frozensets."""
+    m, n = sem.m, sem.n
+    level = {frozenset()}
+    for k in range(kmax + 1):
+        if k:
+            nxt = set()
+            for removed in level:
+                candidates = {0} if not removed else {r + s for r in removed for s in (m, n)}
+                for x in candidates:
+                    if x in removed or not _in_gamma(sem, x):
+                        continue
+                    if all(not _in_gamma(sem, x - s) or (x - s) in removed for s in (m, n)):
+                        nxt.add(removed | {x})
+            level = nxt
+        yield level
+
+
+def _ref_hilb_bits(sem, removed: frozenset) -> tuple[bool, ...]:
+    top = max(removed) if removed else 0
+    span = max(sem.conductor, top + 1) + max(sem.m, sem.n)
+    bits = tuple(_in_gamma(sem, j) and j not in removed for j in range(span))
+    return _ref_canonical(sem, HILB, bits)
+
+
+def _assert_matches_reference(mod: GammaModule) -> None:
+    sem, mode, bits = mod.sem, mod.mode, mod.bits
+    assert _ref_canonical(sem, mode, bits) == bits
+    assert GammaModule(sem, mode, bits) == mod
+    assert len(bits) == mod.span and mod.bits_str() == "".join("01"[b] for b in bits)
+    generators = _ref_generators(sem, bits)
+    assert mod.minimal_generators() == generators
+    assert mod.colength() == _ref_colength(sem, mode, bits)
+    cell = cell_dimension(mod)
+    assert (cell.generators, cell.dimension) == (generators, _ref_dimension(sem, mode, bits))
+
+
+def _pairs(total: int) -> list[tuple[int, int]]:
+    """Every coprime (m, n) with m + n <= total, both orders."""
+    return [
+        (m, n) for m in range(1, total) for n in range(1, total + 1 - m) if gcd(m, n) == 1
+    ]
+
+
 coprime_pairs = st.tuples(st.integers(1, 7), st.integers(1, 7)).filter(
     lambda p: gcd(*p) == 1 and p[0] + p[1] <= 12
 )
@@ -355,6 +476,60 @@ class TestAgainstCounter:
             for mod in enumerate_hilb_ideals(m, n, k):
                 cell = cell_dimension(mod)
                 assert cell.dimension == counted_dimension(cell), (k, mod.bits_str())
+
+
+class TestAgainstPerBitCode:
+    """The masks against the per-bit code they replaced."""
+
+    @pytest.mark.parametrize("m,n", _pairs(13))
+    def test_jacobian_modules(self, m, n):
+        mods = enumerate_jacobian_modules(m, n)
+        assert [mod.bits for mod in mods] == _ref_jacobian_bits(semigroup(m, n))
+        for mod in mods:
+            _assert_matches_reference(mod)
+
+    @pytest.mark.parametrize("m,n", _pairs(11))
+    def test_hilb_ideals(self, m, n):
+        sem = semigroup(m, n)
+        kmax = 2 * sem.delta + 2
+        for k, level in enumerate(_ref_hilb_levels(sem, kmax)):
+            mods = enumerate_hilb_ideals(m, n, k)
+            assert [mod.bits for mod in mods] == sorted(
+                _ref_hilb_bits(sem, removed) for removed in level
+            )
+            for mod in mods:
+                assert mod.colength() == k
+                _assert_matches_reference(mod)
+
+    @given(
+        coprime_pairs,
+        st.sampled_from([JACOBIAN, HILB, "node"]),
+        st.lists(st.booleans(), max_size=24).map(tuple),
+    )
+    @settings(max_examples=300)
+    def test_drawn_bits(self, pair, mode, bits):
+        # Accept or refuse as the per-bit checks do, with the same message.
+        sem = semigroup(*pair)
+        try:
+            expected = _ref_canonical(sem, mode, bits)
+        except ValueError as err:
+            with pytest.raises(ValueError) as caught:
+                GammaModule(sem, mode, bits)
+            assert str(caught.value) == str(err)
+        else:
+            mod = GammaModule(sem, mode, bits)
+            assert mod.bits == expected
+            _assert_matches_reference(mod)
+
+    def test_lowest_offender_named_with_m_first(self):
+        # 0 + 3 and 1 + 2 both miss 3: the lowest j is named, not the first
+        # failure of a pass over m alone.
+        bits = (True, True, True, False, True)
+        message = "not closed: 0 in module but 3 not"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GammaModule(semigroup(2, 3), JACOBIAN, bits)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _ref_canonical(semigroup(2, 3), JACOBIAN, bits)
 
 
 class TestModuleBudget:

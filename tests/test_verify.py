@@ -25,3 +25,23 @@ def test_check_seconds_cover_suite_time(name):
     assert report.all_passed
     assert len(report.checks) == checks
     assert sum(c.seconds for c in report.checks) >= 0.8 * wall
+
+
+def test_cells_vs_homology_computes_each_pair_once(monkeypatch):
+    """Both checks of a pair read one set of cells and one numerator."""
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(verify.curves, "jacobian_cells")
+    count(verify.recursion, "reduced_knot_poly")
+    report = verify.suite_cells_vs_homology()
+    assert report.all_passed and len(report.checks) == 8
+    assert calls == {"jacobian_cells": 4, "reduced_knot_poly": 4}
