@@ -202,24 +202,6 @@ def divide_by_one_minus_q(p: LaurentPoly) -> Optional[LaurentPoly]:
     return LaurentPoly._of_clean(out)
 
 
-def divide_by_one_plus_a(p: LaurentPoly) -> Optional[LaurentPoly]:
-    """Exact quotient p / (1 + a), or None if (1 + a) does not divide p."""
-    by_label: dict[tuple[int, int], dict[int, int]] = {}
-    for (ea, eq, et), c in p._terms.items():
-        by_label.setdefault((eq, et), {})[ea] = c
-    out: dict[Exponent, int] = {}
-    for (eq, et), coeffs in by_label.items():
-        hi = max(coeffs)
-        prev = 0
-        for k in range(hi):
-            prev = coeffs.get(k, 0) - prev
-            if prev:
-                out[(k, eq, et)] = prev
-        if coeffs.get(hi, 0) - prev != 0:
-            return None
-    return LaurentPoly._of_clean(out)
-
-
 @dataclass(frozen=True)
 class RatFunc:
     """numerator / (1 - q)**denom_power, kept in lowest terms."""

@@ -12,8 +12,10 @@ string held as an integer with a leading 1 bit, and it counts how many
 steps read each pair.  A pair whose strings end in different bits is
 rewritten by the PASS rule to a single other pair; it is counted against
 the budgets but gets no step of its own, and its readers read the pair its
-chain reaches.  The other pairs are evaluated children first, and each value
-is dropped as soon as its last reader has read it.  A numerator is a dense
+chain reaches.  A pair whose step (rule, argument and the values it reads)
+repeats an earlier one is an alias for it too, so each distinct step is
+evaluated once.  The steps are evaluated children first, and each value is
+dropped as soon as its last reader has read it.  A numerator is a dense
 integer array indexed [a, q, t] with offsets on each axis, so the rules
 become offset changes, slot shifts, shift-subtracts along q (multiplying by
 1 - q) and cumulative sums along q (dividing by it).  Each array is built in
@@ -34,25 +36,20 @@ from math import gcd
 
 import numpy as np
 
-from .algebra import (
-    LaurentPoly,
-    ONE,
-    Q,
-    RatFunc,
-    divide_by_one_plus_a,
-)
+from .algebra import LaurentPoly, RatFunc
 
 # Admission budget of one evaluation, about 1 GB of memory in all.  The plan
-# stops past MAX_STATES distinct pairs: peak RSS per state measured 1.4 kB on
-# T(14,15) (49,137 states) and on T(16,17) (196,591 states, admitted), about
-# half of them PASS pairs that hold no numerator.  It also stops once its
-# pairs hold MAX_PLAN_CHARS characters, since few states may still have long
-# strings (T(1, n) has about n^2 / 2); T(16,17) holds 6.0 million.  Links
-# have no PASS pairs and need more per state (7.9 kB on T(14,14), 11 kB on
-# T(15,15)), so evaluation also stops before the numerators it holds would
-# pass MAX_LIVE_BYTES.  T(16,17) peaks at 171 MiB of them and T(15,15) at
-# 589 MiB; T(16,16) (131,071 states) passes the budget.  The Hecke fold
-# reads the same MAX_LIVE_BYTES when it runs.
+# stops past MAX_STATES distinct pairs: peak RSS per state measured 1.1 kB on
+# T(14,15) (49,137 states) and 0.8 kB on T(16,17) (196,591 states, admitted),
+# about half of them PASS pairs and most of the rest repeated steps, none of
+# which holds a numerator.  It also stops once its pairs hold MAX_PLAN_CHARS
+# characters, since few states may still have long strings (T(1, n) has
+# about n^2 / 2); T(16,17) holds 6.0 million.  Links have neither and need
+# more per state (7.9 kB on T(14,14), 11 kB on T(15,15)), so evaluation also
+# stops before the numerators it holds would pass MAX_LIVE_BYTES.  T(16,17)
+# peaks at 83 MiB of them and T(15,15) at 589 MiB; T(16,16) (131,071 states)
+# passes the budget.  The Hecke fold reads the same MAX_LIVE_BYTES when it
+# runs.
 MAX_STATES = 250_000
 MAX_PLAN_CHARS = 8_000_000
 MAX_LIVE_BYTES = 768 << 20
@@ -246,7 +243,10 @@ def _sum_with_q(head: _Num, tail: _Num, ell: int) -> _Num:
             or (ht == tt and not nonzero(out[:, :, 0]))
             or (ht + hnt == tt + tnt and not nonzero(out[:, :, -1]))):
         return _normalize(out, (oa, oq, ot - ell), d, bound)
-    return _divide(_Num(out, oa, oq, ot - ell, d, bound))
+    x = _Num(out, oa, oq, ot - ell, d, bound)
+    # A lifted summand vanishes at q = 1, where the sum is then the other
+    # summand: canonical with d > 0, so 1 - q does not divide it.
+    return x if kh or kt else _divide(x)
 
 
 # Plan steps: (rule, argument, ids of the values it reads).
@@ -272,28 +272,36 @@ def _plan(v: str, w: str):
     T(14,15).  A string s is held as the integer int("1" + s, 2), so s[:-1]
     is x >> 1 and s has x.bit_count() - 1 ones.  A PASS pair, whose strings
     end in different bits, gets no step: it is an alias for the first other
-    pair its chain reaches.  Raises ValueError as soon as more than
-    MAX_STATES distinct pairs, PASS pairs included, or pairs of more than
-    MAX_PLAN_CHARS characters, are reachable, before any series is evaluated.
+    pair its chain reaches.  Nor does a pair whose step (rule, argument, child
+    ids) equals an earlier one, since a value depends on nothing else: it is
+    an alias for that step.  Knots repeat many steps (T(11,12) plans 1,478 of
+    its 3,062 other pairs, T(16,17) 29,996 of 98,289), links none.  Raises
+    ValueError as soon as more than MAX_STATES distinct pairs, PASS pairs and
+    repeated steps included, or pairs of more than MAX_PLAN_CHARS characters,
+    are reachable, before any series is evaluated.
     """
     length = len(v) + len(w)
     root = (int("1" + v, 2), int("1" + w, 2))
     ids = {}  # pair -> id of its value; None while its walk is open
     steps, consumers = [], []
+    step_ids = {}  # step -> its id
     chars = 0
     stack = [root]
     while stack:
         item = stack.pop()
         if len(item) == 5:  # every child of the pair has its id
             pair, rule, arg, kids, chain = item
-            i = ids[pair] = len(steps)
+            step = (rule, arg, tuple([ids[kid] for kid in kids]))
+            i = step_ids.get(step)
+            if i is None:
+                i = step_ids[step] = len(steps)
+                for j in step[2]:
+                    consumers[j] += 1
+                steps.append(step)
+                consumers.append(0)
+            ids[pair] = i
             for alias in chain:
                 ids[alias] = i
-            kids = tuple([ids[kid] for kid in kids])
-            for j in kids:
-                consumers[j] += 1
-            steps.append((rule, arg, kids))
-            consumers.append(0)
             continue
         chain = []  # the PASS pairs walked to reach item
         while item not in ids:
@@ -425,13 +433,13 @@ def euler_a0(m: int, n: int) -> RatFunc:
     return hhh_a0(m, n).regrade_t(-1, 0)
 
 
-def _knot_numerator(r: RatFunc, m: int, n: int) -> LaurentPoly:
-    """(1-q) * r for the series r of T(m, n)."""
-    if r.denom_pow > 1:
-        raise ValueError(
-            f"residual denominator (1-q)^{r.denom_pow - 1}: T({m},{n}) is not a knot"
-        )
-    return r.num if r.denom_pow == 1 else r.num * (ONE - Q)
+def _knot_numerator(x: _Num, m: int, n: int) -> _Num:
+    """(1-q) * x for the series x of T(m, n)."""
+    if x.d > 1:
+        raise ValueError(f"residual denominator (1-q)^{x.d - 1}: T({m},{n}) is not a knot")
+    if x.d == 1:
+        return _Num(x.arr, x.oa, x.oq, x.ot, 0, x.bound)
+    return _Num(_lift(_room(x, 2), 1), x.oa, x.oq, x.ot, 0, 2 * x.bound)
 
 
 def reduced_numerator(m: int, n: int) -> LaurentPoly:
@@ -439,10 +447,17 @@ def reduced_numerator(m: int, n: int) -> LaurentPoly:
     (1-q) series factor and the unknot factor (1+a)."""
     if gcd(m, n) != 1:
         raise ValueError(f"T({m},{n}) is not a knot: gcd={gcd(m, n)}")
-    reduced = divide_by_one_plus_a(_knot_numerator(hhh_torus(m, n), m, n))
-    if reduced is None:
+    x = _knot_numerator(_evaluate(*_torus_pair(m, n)), m, n)
+    # The quotient's a^k slice is the alternating sum of the slices up to k,
+    # and the remainder is that sum over every slice.
+    na = x.arr.shape[0]
+    sums = _room(x, na).copy()
+    sums[1::2] *= -1
+    sums = np.cumsum(sums, axis=0, dtype=sums.dtype)
+    sums[1::2] *= -1
+    if sums[-1].any():
         raise ArithmeticError(f"(1+a) does not divide the T({m},{n}) numerator")
-    return reduced
+    return _to_ratfunc(_Num(sums[:-1], x.oa, x.oq, x.ot, 0, x.bound * na)).num
 
 
 def term_census_a(m: int, n: int) -> list[tuple[int, int]]:
@@ -456,5 +471,6 @@ def reduced_knot_poly(m: int, n: int) -> LaurentPoly:
         raise ValueError(f"T({m},{n}) is not a knot: gcd={gcd(m, n)}")
     if m < 1 or n < 1:
         raise ValueError("reduced numerator needs m, n >= 1")
-    num = _knot_numerator(hhh_a0(m, n), m, n)
-    return num * LaurentPoly.monomial(1, et=-num.min_t_degree())
+    x = _knot_numerator(_evaluate(*_torus_pair(m, n), a0=True), m, n)
+    # x is trimmed, so x.ot is its least t-exponent.
+    return _to_ratfunc(_Num(x.arr, x.oa, x.oq, 0, 0, x.bound)).num

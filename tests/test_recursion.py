@@ -2,6 +2,7 @@ import hashlib
 import sys
 import tracemalloc
 from functools import cache
+from math import gcd
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from torushom.recursion import (
     hhh_torus,
     pair_series,
     reduced_knot_poly,
+    reduced_numerator,
     term_census_a,
 )
 
@@ -173,10 +175,16 @@ def reference_plan(v: str, w: str):
     return pairs, steps, order
 
 
-def expected_plan(v: str, w: str):
+def step_key(rule: int, arg: int, kids: tuple[int, ...]):
+    return rule, arg, kids
+
+
+def expected_plan(v: str, w: str, key=step_key):
     """What recursion._plan must return for (v, w): the reference post-order
     with every PASS pair dropped and read through to the pair its chain
-    reaches, consumer counts, and the root's id."""
+    reaches, and every step whose key (rule, argument, child ids) an earlier
+    step has dropped and read as that one; then consumer counts and the
+    root's id."""
     _, steps, order = reference_plan(v, w)
 
     def target(i: int) -> int:
@@ -184,12 +192,19 @@ def expected_plan(v: str, w: str):
             i = steps[i][2][0]
         return i
 
-    kept = [i for i in order if steps[i][0] != "pass"]
-    position = {i: k for k, i in enumerate(kept)}
     rules = {"base": recursion._BASE, "mul": recursion._MUL,
              "div": recursion._DIV, "sum": recursion._SUM}
-    plan = [(rules[steps[i][0]], steps[i][1], tuple(position[target(j)] for j in steps[i][2]))
-            for i in kept]
+    plan, first, position = [], {}, {}
+    for i in order:
+        rule, arg, kids = steps[i]
+        if rule == "pass":
+            continue
+        step = (rules[rule], arg, tuple(position[target(j)] for j in kids))
+        k = key(*step)
+        if k not in first:
+            first[k] = len(plan)
+            plan.append(step)
+        position[i] = first[k]
     consumers = [0] * len(plan)
     for _, _, kids in plan:
         for j in kids:
@@ -206,9 +221,14 @@ def series_pin(r: RatFunc) -> tuple[int, int, str]:
     return r.denom_pow, len(r.num), poly_digest(r.num)
 
 
-# (denominator power, term count, digest) of hhh_torus(m, n).  The largest
-# coefficients of these series have 15 bits, so part of each evaluation
-# leaves int16.
+# (denominator power, term count, digest) of hhh_torus(m, n).
+PINNED = {
+    (9, 9): (9, 5011, "02f44a4d5aa43d8b8fc2dc3e6f0ad7a57ede3db8b505b81f9fc133f201c84fef"),
+    (10, 11): (1, 5698, "6d0b3858959b6a02610248bb6853de05f64645f6c82854e0743c3ffdf82c9c0f"),
+}
+
+# The same for series whose largest coefficients have 15 bits, so part of
+# each evaluation leaves int16.
 PAST_INT16 = {
     (10, 10): (10, 8282, "db86e7d328dadd17fb0954a2f210966e27508b3fca81769c05c2705aa5125d16"),
     (12, 13): (1, 14315, "fc0b488d2a87b4960006045469d91f9905b8a12cf04027e351d5d70d1add2f4f"),
@@ -240,16 +260,10 @@ class TestAgainstReference:
     def test_small_torus_links(self, m, n):
         assert hhh_torus(m, n) == reference_series("0" * m, "0" * n)
 
-    @pytest.mark.parametrize(
-        "m,n,denom_pow,terms,digest",
-        [
-            (9, 9, 9, 5011, "02f44a4d5aa43d8b8fc2dc3e6f0ad7a57ede3db8b505b81f9fc133f201c84fef"),
-            (10, 11, 1, 5698, "6d0b3858959b6a02610248bb6853de05f64645f6c82854e0743c3ffdf82c9c0f"),
-        ],
-    )
+    @pytest.mark.parametrize("m,n,denom_pow,terms,digest",
+                             [(*mn, *pin) for mn, pin in PINNED.items()])
     def test_pinned_digests(self, m, n, denom_pow, terms, digest):
-        r = hhh_torus(m, n)
-        assert (r.denom_pow, len(r.num), poly_digest(r.num)) == (denom_pow, terms, digest)
+        assert series_pin(hhh_torus(m, n)) == (denom_pow, terms, digest)
 
     @pytest.mark.parametrize("m,n", PAST_INT16)
     def test_pinned_digests_past_int16(self, m, n):
@@ -259,7 +273,9 @@ class TestAgainstReference:
 class TestPlanAgainstReference:
     @staticmethod
     def check(monkeypatch, v: str, w: str) -> None:
-        assert recursion._plan(v, w) == expected_plan(v, w)
+        plan = recursion._plan(v, w)
+        assert plan == expected_plan(v, w)
+        assert len(set(plan[0])) == len(plan[0])
         # The walk counts every distinct pair, PASS pairs included, and their
         # characters: the budgets admit exactly the reference's totals.
         pairs = reference_plan(v, w)[0]
@@ -286,6 +302,25 @@ class TestPlanAgainstReference:
     def test_random_balanced_pairs(self, pair):
         with pytest.MonkeyPatch.context() as monkeypatch:
             self.check(monkeypatch, *pair)
+
+    @pytest.mark.parametrize("m,n,size", [(11, 12, 1478), (12, 13, 2703), (9, 9, 1023)])
+    def test_distinct_steps(self, m, n, size):
+        # Knots repeat steps (T(11,12) has 3,062 pairs that are not PASS
+        # pairs); the link T(9,9) repeats none of its 1,023.
+        steps = recursion._plan("0" * m, "0" * n)[0]
+        assert len(steps) == len(set(steps)) == size
+
+    @pytest.mark.parametrize("m,n", PINNED)
+    def test_a_key_without_the_children_fails_the_pins(self, monkeypatch, m, n):
+        # Steps that differ only in what they read have different values.
+        # (Dropping the argument instead merges nothing: on every pair of
+        # strings of up to 8 characters each, and on these roots, it follows
+        # from the rule and the children.)
+        def childless(rule, arg, kids):
+            return rule, arg
+
+        monkeypatch.setattr(recursion, "_plan", lambda v, w: expected_plan(v, w, childless))
+        assert series_pin(hhh_torus(m, n)) != PINNED[m, n]
 
 
 class TestEngineKernels:
@@ -322,6 +357,21 @@ class TestEngineKernels:
         # 1 + q / (1 - q) = 1 / (1 - q): the head is lifted to (1 - q) / (1 - q).
         x = recursion._sum_with_q(as_num(ONE), as_num(ONE, 1), 0)
         assert recursion._to_ratfunc(x) == RatFunc(ONE, 1)
+
+    @pytest.mark.parametrize("lifted", ["head", "tail"])
+    def test_lifted_sum_is_not_divided(self, monkeypatch, lifted):
+        # (1 + q) and (a - t) / (1 - q), summed in either order: the
+        # coefficients add up to 0 at a = q = t = 1, yet at q = 1 the sum is
+        # a - t, so 1 - q does not divide it and no division is tried.
+        monkeypatch.setattr(recursion, "_divide", lambda x: pytest.fail("divided a lifted sum"))
+        poly, frac = ONE + Q, A - T
+        if lifted == "head":
+            head, tail, num = as_num(poly), as_num(frac, 1), (ONE - Q) * poly + Q * frac
+        else:
+            head, tail, num = as_num(frac, 1), as_num(poly), frac + Q * (ONE - Q) * poly
+        x = recursion._sum_with_q(head, tail, 2)
+        assert x.arr.sum() == 0
+        assert recursion._to_ratfunc(x) == ratfunc_normalize(num * mono(1, et=-2), 1)
 
     def test_normalize_zero(self):
         x = recursion._normalize(np.zeros((1, 2, 1), dtype=np.int64), (0, 0, 0), 2, 0)
@@ -554,6 +604,78 @@ class TestSpecializations:
         p = reduced_knot_poly(m, n)
         assert p.swap_qt() == p
         assert sum(p.evaluate_qt1().values()) == dict(term_census_a(m, n))[0]
+
+
+def divide_by_one_plus_a(p: LaurentPoly) -> LaurentPoly | None:
+    """Exact quotient p / (1 + a), or None if (1 + a) does not divide p: the
+    oracle for reduced_numerator's division on arrays."""
+    by_label: dict[tuple[int, int], dict[int, int]] = {}
+    for (ea, eq, et), c in p.items():
+        by_label.setdefault((eq, et), {})[ea] = c
+    out = {}
+    for (eq, et), coeffs in by_label.items():
+        hi = max(coeffs)
+        prev = 0
+        for k in range(hi):
+            prev = coeffs.get(k, 0) - prev
+            if prev:
+                out[(k, eq, et)] = prev
+        if coeffs.get(hi, 0) - prev != 0:
+            return None
+    return LaurentPoly._of_clean(out)
+
+
+exponents = st.tuples(st.integers(0, 3), st.integers(-4, 4), st.integers(-4, 4))
+polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=6).map(LaurentPoly)
+
+
+class TestOnePlusA:
+    def test_oracle(self):
+        assert divide_by_one_plus_a((ONE + A) * (T + Q)) == T + Q
+        assert divide_by_one_plus_a(ONE + A + A * A) is None
+
+    @given(polys, exponents, st.integers(1, 9))
+    def test_oracle_round_trip(self, p, exp, c):
+        # The quotient is built without a cleaning pass, so its stored map
+        # must already hold no zero coefficient.
+        quotient = divide_by_one_plus_a((ONE + A) * p)
+        assert quotient == p
+        assert 0 not in quotient.terms.values()
+        # A monomial is no multiple of 1 + a, so neither is the sum.
+        assert divide_by_one_plus_a((ONE + A) * p + LaurentPoly({exp: c})) is None
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in range(16) for n in range(16) if m + n <= 15 and gcd(m, n) == 1]
+    )
+    def test_knots_match_the_oracle(self, m, n):
+        r = hhh_torus(m, n)
+        assert r.denom_pow == 1
+        assert reduced_numerator(m, n) == divide_by_one_plus_a(r.num)
+
+    @staticmethod
+    def reduced(monkeypatch, num: LaurentPoly) -> LaurentPoly:
+        """reduced_numerator of a made-up series num / (1 - q)."""
+        monkeypatch.setattr(recursion, "_evaluate", lambda v, w: as_num(num, 1))
+        return reduced_numerator(2, 3)
+
+    def test_refuses_what_one_plus_a_does_not_divide(self, monkeypatch):
+        num = ONE + A + A * A
+        assert divide_by_one_plus_a(num) is None
+        with pytest.raises(ArithmeticError, match=r"\(1\+a\) does not divide the T\(2,3\)"):
+            self.reduced(monkeypatch, num)
+
+    @given(polys.filter(bool), exponents, st.integers(1, 9))
+    def test_array_round_trip(self, p, exp, c):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            assert self.reduced(monkeypatch, (ONE + A) * p) == p
+            with pytest.raises(ArithmeticError):
+                self.reduced(monkeypatch, (ONE + A) * p + LaurentPoly({exp: c}))
+
+    def test_divides_in_a_wider_type(self, monkeypatch):
+        # Every coefficient of the numerator fits int16, but the quotient
+        # reaches 36,000: the alternating sums are taken in int32.
+        quotient = LaurentPoly({(k, 0, 0): 12000 * c for k, c in enumerate([1, -2, 3, -2, 1])})
+        assert self.reduced(monkeypatch, (ONE + A) * quotient) == quotient
 
 
 def a0_part(r: RatFunc) -> RatFunc:
