@@ -169,7 +169,7 @@ def _cmd_curve(args) -> int:
     elif args.which == "jac":
         cells = curves.jacobian_cells(args.m, args.n)
         if args.json:
-            print("[" + ", ".join(c.to_json() for c in cells) + "]")
+            print(json.dumps([c.to_dict() for c in cells]))
         else:
             for c in cells:
                 print(

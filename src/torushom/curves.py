@@ -307,14 +307,15 @@ class CellRecord:
     generators: tuple[int, ...]
     dimension: int
 
+    def to_dict(self) -> dict:
+        return {
+            "delta_bits": self.module.bits_str(),
+            "generators": list(self.generators),
+            "dimension": self.dimension,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta_bits": self.module.bits_str(),
-                "generators": list(self.generators),
-                "dimension": self.dimension,
-            }
-        )
+        return json.dumps(self.to_dict())
 
 
 def cell_dimension(mod: GammaModule) -> CellRecord:

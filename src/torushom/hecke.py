@@ -15,6 +15,7 @@ elementary crossing matrices and P_w the permutation matrix of the target.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -42,13 +43,23 @@ class _Fold:
         self.arr = np.ones((1, 1), dtype=recursion._rung(1))
         self.bound = 1
 
-    def copy(self, width: int, dtype: np.dtype) -> "_Fold":
-        """A fold of the same rows, its array copied into ``width`` columns
-        of ``dtype``; the keys array is shared, since no fold writes into it."""
+    def copy(self, width: int, dtype: np.dtype, new=()) -> "_Fold":
+        """A fold of the same rows and zero rows at the keys ``new``, sorted
+        and held by no row, its array copied into ``width`` columns of
+        ``dtype``.  Without new rows the keys array is shared, since no fold
+        writes into it."""
         f = object.__new__(_Fold)
         f.weight, f.keys, f.bound = self.weight, self.keys, self.bound
-        f.arr = np.zeros((len(self.keys), width), dtype=dtype)
-        f.arr[:, : self.arr.shape[1]] = self.arr
+        f.arr = np.zeros((len(self.keys) + len(new), width), dtype=dtype)
+        if len(new):
+            # One merge: row i moves down by the new keys below its own.
+            at = np.searchsorted(self.keys, new) + np.arange(len(new))
+            old = np.arange(len(self.keys)) + np.searchsorted(new, self.keys)
+            f.keys = np.empty(len(f.arr), dtype=self.keys.dtype)
+            f.keys[at], f.keys[old] = new, self.keys
+            f.arr[old, : self.arr.shape[1]] = self.arr
+        else:
+            f.arr[:, : self.arr.shape[1]] = self.arr
         return f
 
     def partners(self, j: int):
@@ -89,14 +100,22 @@ def _fold(b: BraidWord, held: int = 0, start: _Fold | None = None) -> _Fold:
     still does not fit is the array widened up the recursion's ladder
     (recursion._rung): int32, int64 and then Python ints.
 
+    A letter runs on one of two paths.  While the fold lacks a permutation,
+    each row looks up its partner's row by key (_Fold.partners), and the
+    partners that nonzero rows reach for the first time are merged in as
+    zero rows, all in one pass (_Fold.copy).  Once the fold holds all n!
+    rows, they are S_n in lexicographic order, and the letter runs in place
+    on strided block views of the array with no lookup (_lex_letter).
+
     Raises ValueError before the rows, beside ``held`` bytes held elsewhere,
-    would pass the recursion's MAX_LIVE_BYTES: at the peak of a letter the
-    coefficient array and three half-size temporaries are held, each row
-    priced at the final width (recursion._entry_bytes), and each row also has
-    its key and about eight index entries.  The old array, held beside the
-    new one while it is copied or widened, is no larger than the new one, so
-    that peak covers it.  The refusal names the letters of start and b
-    together.
+    would pass the recursion's MAX_LIVE_BYTES: each letter is priced as the
+    coefficient array and three half-size temporaries, each row at the final
+    width (recursion._entry_bytes), and each row also has its key and about
+    eight index entries.  A sparse letter holds two such temporaries, and a
+    whole-group letter at most one, at the same price.  The old array, held
+    beside the new one while it is copied or widened, is no larger than the
+    new one, so that price covers it.  The refusal names the letters of
+    start and b together.
     """
     if not b.is_positive():
         raise ValueError("point counting requires a positive braid word")
@@ -106,39 +125,78 @@ def _fold(b: BraidWord, held: int = 0, start: _Fold | None = None) -> _Fold:
     width = first + r
     for k, (idx, _) in enumerate(b.letters):
         j, cols = idx - 1, first + k
-        up, keys, hit, found = f.partners(j)
-        # Nonzero rows whose partner has no row yet.
-        missing = np.flatnonzero(~found)
-        fresh = missing[(f.arr[missing, :cols] != 0).any(axis=1)]
+        whole, new = _whole(f), ()
+        if not whole:
+            up, keys, hit, found = f.partners(j)
+            if not found.all():
+                # Nonzero rows whose partner has no row yet.
+                missing = np.flatnonzero(~found)
+                new = np.sort(keys[missing[(f.arr[missing, :cols] != 0).any(axis=1)]])
         dtype, bound = recursion._widen(f.arr, f.bound, 3)
         # Past int64, size each entry by the bound after the last letter,
         # which is below 4^(r - k) times the present one.
         entry = recursion._entry_bytes(dtype, bound.bit_length() + 2 * (r - k))
-        peak = (len(f.keys) + len(fresh)) * (5 * width * entry // 2 + 72)
+        peak = (len(f.keys) + len(new)) * (5 * width * entry // 2 + 72)
         if held + peak > recursion.MAX_LIVE_BYTES:
             raise _OverBudget(width - 1, n)
-        if k == 0 or f.arr.dtype != dtype:
-            f = f.copy(width, dtype)
+        if len(new) or k == 0 or f.arr.dtype != dtype:
+            f = f.copy(width, dtype, new)  # zero rows for the new partners
         f.bound = bound
-        if len(fresh):  # zero rows for their partners, kept sorted
-            new = np.sort(keys[fresh])
-            at = np.searchsorted(f.keys, new)
-            f.keys, f.arr = np.insert(f.keys, at, new), np.insert(f.arr, at, 0, axis=0)
-            up, keys, hit, found = f.partners(j)
-        # The pairs (w, ws) with ws longer.  A row whose partner is missing
-        # holds zero and keeps it.
-        u = np.flatnonzero(up & found)
-        d = hit[u]
-        cu, cd = f.arr[u, :cols], f.arr[d, :cols]
-        f.arr[u, :cols] = cd
-        cu += cd
-        y = np.zeros((len(d), cols + 1), dtype=f.arr.dtype)
-        y[:, 1:] = cu
-        y[:, :cols] -= cd
-        f.arr[d, : cols + 1] = y
-        del cu, cd, y, up, keys, hit, found, u, d  # before the next letter allocates
+        if whole:
+            _lex_letter(f.arr, n, j, cols)
+        else:
+            if len(new):
+                up, keys, hit, found = f.partners(j)
+            # The pairs (w, ws) with ws longer: w takes c[ws], and ws becomes
+            # q (c[w] + c[ws]) - c[ws], formed in place in its gathered rows.
+            # A row whose partner is missing holds zero and keeps it.
+            u = np.flatnonzero(up & found)
+            d = hit[u]
+            cu, cd = f.arr[u, :cols], f.arr[d, : cols + 1]
+            f.arr[u, :cols] = cd[:, :cols]
+            cu += cd[:, :cols]
+            np.subtract(cu, cd[:, 1:], out=cd[:, 1:])
+            cd[:, 0] *= -1
+            f.arr[d, : cols + 1] = cd
+            del cu, cd, up, keys, hit, found, u, d  # before the next letter allocates
         f.bound *= 3
     return f.copy(width, f.arr.dtype) if f is start else f
+
+
+def _whole(f: _Fold) -> bool:
+    """Whether f holds a row for every permutation, so that its rows are
+    all of S_n in lexicographic order."""
+    return len(f.keys) == math.factorial(len(f.weight))
+
+
+def _lex_blocks(arr: np.ndarray, n: int, j: int):
+    """Views (up, down) of arr, the rows of all of S_n in lexicographic
+    order, that pair each w where w s_(j+1) is longer with w s_(j+1).
+
+    With m = n - j, arr is viewed as (n!/m!, m, m - 1, (m - 2)!, width):
+    w_1 ... w_j, the rank a of w_(j+1) among the m values left, the rank of
+    w_(j+2) among the m - 1 left after that, and the order of the rest.  For
+    ranks a < b, block [:, a, b - 1] holds the w with w_(j+1) < w_(j+2) and
+    block [:, b, a] their partners, so for each a the blocks of every b > a
+    make one strided view on either side."""
+    m = n - j
+    g = arr.reshape(-1, m, m - 1, math.factorial(m - 2), arr.shape[1])
+    for a in range(m - 1):
+        yield g[:, a, a:], g[:, a + 1 :, a]
+
+
+def _lex_letter(arr: np.ndarray, n: int, j: int, cols: int) -> None:
+    """Fold s_(j+1) into arr, the rows of all of S_n in lexicographic order
+    with their degrees below cols, in place: for w with ws longer, row w
+    takes c[ws] and row ws becomes q (c[w] + c[ws]) - c[ws].  Each block
+    pair holds one temporary, the sum s = c[w] + c[ws]; every write is a
+    ufunc whose output is also its input, since an assignment between two
+    views of one array would copy its source first."""
+    for up, down in _lex_blocks(arr, n, j):
+        s = up[..., :cols] + down[..., :cols]
+        np.subtract(s, up[..., :cols], out=up[..., :cols])
+        np.subtract(s, down[..., 1 : cols + 1], out=down[..., 1 : cols + 1])
+        down[..., 0] *= -1
 
 
 def _poly(row, ell: int = 0) -> LaurentPoly:

@@ -117,6 +117,17 @@ class TestJsonOutputs:
         cells = json.loads(out)
         assert sorted(c["dimension"] for c in cells) == [0, 1]
 
+    def test_jac_json_is_the_cells_json_in_a_list(self, capsys):
+        # One dump of the whole list prints the bytes of each cell's own
+        # to_json joined into a JSON list.
+        from torushom.curves import jacobian_cells
+
+        code, out, _ = run(capsys, "curve", "jac", "4", "7", "--json")
+        assert code == 0
+        cells = jacobian_cells(4, 7)
+        assert out == "[" + ", ".join(c.to_json() for c in cells) + "]\n"
+        assert json.loads(out) == [c.to_dict() for c in cells]
+
     @pytest.mark.parametrize("m,n,cells", [(4, 7, 30), (5, 6, 42), (5, 7, 66), (6, 7, 132)])
     def test_jacobian_cells_past_the_assignment_counter(self, capsys, m, n, cells):
         start = time.perf_counter()

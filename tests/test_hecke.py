@@ -592,6 +592,158 @@ class TestFoldFromStart:
             hecke._fold(suffix, start=start)
 
 
+def whole_group(n):
+    """A fold over all of S_n, its keys in lexicographic order and one
+    zero column."""
+    f = hecke._Fold(n)
+    f.keys = np.array(list(itertools.permutations(range(n)))).reshape(-1, n) @ f.weight
+    f.arr = np.zeros((len(f.keys), 1), dtype=np.int16)
+    return f
+
+
+def block_counter(monkeypatch):
+    """Count the letters _fold hands to _lex_letter, and the types they run in."""
+    calls, lex = [], hecke._lex_letter
+
+    def spy(arr, n, j, cols):
+        calls.append(arr.dtype)
+        lex(arr, n, j, cols)
+
+    monkeypatch.setattr(hecke, "_lex_letter", spy)
+    return calls
+
+
+def sparse_fold(b):
+    """The fold of b with every letter on the sparse path, the reference for
+    the whole-group blocks."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(hecke, "_whole", lambda f: False)
+        return hecke._fold(b)
+
+
+def assert_same_fold(f, g):
+    assert f.arr.dtype == g.arr.dtype and f.arr.shape == g.arr.shape
+    assert np.array_equal(f.keys, g.keys) and np.array_equal(f.arr, g.arr)
+    assert f.bound == g.bound
+
+
+class TestWholeGroupLetters:
+    """Once a fold holds all n! rows, each letter runs as strided block views
+    of its array (_lex_letter) with no partner lookup; the sparse path,
+    which looks up every partner, is the reference."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_blocks_pair_each_row_with_its_partner(self, n):
+        f = whole_group(n)
+        assert hecke._whole(f)
+        for j in range(n - 1):
+            up, _, hit, found = f.partners(j)
+            assert found.all()
+            rows = np.arange(len(f.keys))[:, None]
+            blocks = list(hecke._lex_blocks(rows, n, j))
+            u = np.concatenate([a.ravel() for a, _ in blocks])
+            d = np.concatenate([b.ravel() for _, b in blocks])
+            # Every row is addressed once, as an up row or as its partner.
+            assert sorted(np.concatenate([u, d]).tolist()) == rows.ravel().tolist()
+            order = np.argsort(u)
+            assert np.array_equal(u[order], np.flatnonzero(up & found))
+            assert np.array_equal(d[order], hit[u[order]])
+
+    @pytest.mark.parametrize("dtype", [np.int16, object])
+    def test_blocks_are_views(self, dtype):
+        # A reshape that copied would fold the letter into the copy and
+        # leave the array as it was.
+        n = 5
+        arr = np.zeros((math.factorial(n), 3), dtype=dtype)
+        for j in range(n - 1):
+            for up, down in hecke._lex_blocks(arr, n, j):
+                assert np.shares_memory(up, arr) and np.shares_memory(down, arr)
+        arr[:, 0] = 1
+        hecke._lex_letter(arr, n, 0, 1)
+        assert sorted(map(tuple, arr.tolist())) == [(-1, 2, 0)] * 60 + [(1, 0, 0)] * 60
+
+    @pytest.mark.parametrize("b, letters", [
+        (torus_braid(7, 8).concat(half_twist(7)), 27),
+        (BraidWord(8, torus_braid(8, 9).concat(half_twist(8)).letters[:60]), 4),
+    ])
+    def test_big_folds_match_the_sparse_path(self, monkeypatch, b, letters):
+        calls = block_counter(monkeypatch)
+        f = hecke._fold(b)
+        assert len(calls) == letters and hecke._whole(f)
+        assert_same_fold(f, sparse_fold(b))
+
+    @given(words(max_strands=6, max_len=40))
+    @settings(max_examples=60, deadline=None)
+    def test_random_words_match_the_sparse_path(self, b):
+        assert_same_fold(hecke._fold(b), sparse_fold(b))
+
+    def test_every_rung_matches_the_sparse_path(self, monkeypatch):
+        # On this ladder the fold of T(4,9) holds all 24 rows while it
+        # climbs from int16 through int32 and int64 to Python ints.
+        TestFoldLimits.short_ladder(monkeypatch, 16, 24, 32)
+        b = torus_braid(4, 9)
+        calls = block_counter(monkeypatch)
+        f = hecke._fold(b)
+        assert list(dict.fromkeys(calls)) == [np.dtype(t) for t in (np.int16, np.int32, np.int64, object)]
+        assert_same_fold(f, sparse_fold(b))
+        assert fold_rows(f) == dict_fold(b)
+
+    def test_full_start_gets_one_more_letter(self, monkeypatch):
+        # The hecke-vs-brute suite folds a word's last letter onto its
+        # prefix's fold; here that fold already holds all of S_4.
+        prefix = torus_braid(4, 5).concat(half_twist(4))
+        start = hecke._fold(prefix)
+        assert hecke._whole(start)
+        arr, keys, bound = start.arr.copy(), start.keys.copy(), start.bound
+        expected = {idx: hecke._fold(prefix.concat(BraidWord.make(4, [idx]))) for idx in (1, 2, 3)}
+        calls = block_counter(monkeypatch)
+        for idx, whole in expected.items():
+            f = hecke._fold(BraidWord.make(4, [idx]), start=start)
+            assert_same_fold(f, whole)
+            assert f.arr is not start.arr
+            assert start.arr.dtype == arr.dtype and np.array_equal(start.arr, arr)
+            assert np.array_equal(start.keys, keys) and start.bound == bound
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(3, 7) for n in range(m - 1, 8)])
+    def test_dict_oracle_covers_the_blocks(self, monkeypatch, m, n):
+        # The twisted torus words of TestAgainstDictFold.test_torus_words
+        # reach all of S_m, so the dict fold checks the block path too.
+        calls = block_counter(monkeypatch)
+        TestAgainstDictFold.check(torus_braid(m, n).concat(half_twist(m)))
+        assert calls
+
+
+class TestSparseMerge:
+    """A letter that reaches new permutations merges their zero rows into
+    the sorted keys and array in one pass."""
+
+    @staticmethod
+    def check_every_letter(b):
+        """Fold b one letter at a time; return the row counts after each."""
+        f, sizes = hecke._Fold(b.strands), []
+        for k in range(1, len(b.letters) + 1):
+            f = hecke._fold(BraidWord(b.strands, b.letters[k - 1 : k]), start=f)
+            assert (np.diff(f.keys) > 0).all()
+            assert fold_rows(f) == dict_fold(BraidWord(b.strands, b.letters[:k]))
+            sizes.append(len(f.keys))
+        return sizes
+
+    def test_half_twist_12(self):
+        # Each of the 66 letters lengthens the one nonzero row, and adds the
+        # row it moves to.
+        sizes = self.check_every_letter(half_twist(12))
+        assert sizes == list(range(2, 68))
+        tail = half_twist(12).concat(BraidWord.make(12, [1, 1, 3, 3]))
+        # At w0 the first s_3 adds the partners of w0 and w0 s_1 at once.
+        assert self.check_every_letter(tail)[66:] == [67, 67, 69, 69]
+
+    @given(words(max_strands=6, max_len=14))
+    @settings(max_examples=60, deadline=None)
+    def test_random_words(self, b):
+        self.check_every_letter(b)
+
+
 class TestBruteForce:
     def test_sigma3_over_f3(self):
         b = torus_braid(2, 3)
