@@ -15,6 +15,7 @@ elementary crossing matrices and P_w the permutation matrix of the target.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -75,6 +76,19 @@ class _Fold:
         """The permutations of the rows, in row order."""
         n = len(self.weight)
         return list(map(tuple, (self.keys[:, None] // self.weight % n + 1).tolist()))
+
+    def lengths(self, rows=slice(None)) -> np.ndarray:
+        """The lengths of the permutations of the rows, by default all."""
+        digits = self.keys[rows, None] // self.weight % len(self.weight)
+        return np.triu(digits[:, :, None] > digits[:, None, :]).sum(axis=(1, 2))
+
+    def row(self, x: Permutation) -> np.ndarray:
+        """The coefficients at the permutation x; none if it has no row."""
+        key = (np.array(x) - 1) @ self.weight
+        i = np.searchsorted(self.keys, key)
+        if i < len(self.keys) and self.keys[i] == key:
+            return self.arr[i]
+        return np.zeros(0, dtype=np.int64)
 
 
 class _OverBudget(ValueError):
@@ -292,8 +306,7 @@ def _trace(f: _Fold, g: _Fold) -> np.ndarray:
         return np.zeros(wa + wc - 1, dtype=np.int64)
     bound = int(np.abs(a).max()) * int(np.abs(c).max()) * min(wa, wc) * len(a)
     dtype = recursion._rung(bound)
-    digits = f.keys[i[live], None] // f.weight % len(f.weight)
-    lengths = np.triu(digits[:, :, None] > digits[:, None, :]).sum(axis=(1, 2))
+    lengths = f.lengths(i[live])
     out = np.zeros(wa + wc - 1, dtype=dtype)
     for ell in range(int(lengths.max()) + 1):
         rows = lengths == ell
@@ -317,9 +330,7 @@ def _count(f: _Fold, target: Permutation) -> LaurentPoly:
     q^len(target) cosets refining the cell, and the variety picks the coset
     of the permutation matrix itself.
     """
-    rows = f.arr[f.keys == (np.array(inverse_permutation(target)) - 1) @ f.weight]
-    row = rows[0] if len(rows) else np.zeros(0, dtype=np.int64)
-    return _poly(row, permutation_length(target))
+    return _poly(f.row(inverse_permutation(target)), permutation_length(target))
 
 
 # -- brute force over a prime field ------------------------------------------
@@ -348,22 +359,38 @@ def _entry_dtype(p: int) -> np.dtype:
     raise ValueError(f"p = {p} is too large for brute force")
 
 
-def _extend(batch: np.ndarray, i: int, z: np.ndarray, p: int) -> np.ndarray:
+def _extend(batch: np.ndarray, i: int, z: np.ndarray, p: int, nodes: int = 1,
+            into=None) -> np.ndarray:
     """The products M * B_(i+1)(z) mod p for every matrix M of the
     entry-major batch (n, n, B) and every z of the column z, as one
-    (n, n, len(z) * B) batch, z-major."""
+    (n, n, len(z) * B) batch.  The batch is ``nodes`` equal runs, one per
+    trie node, and the products keep them apart: each node's run becomes
+    len(z) runs of its matrices, z-major.  They are written into ``into``
+    if given, a slice of the last axis of a larger batch."""
     n, _, size = batch.shape
-    out = np.empty((n, n, len(z), size), batch.dtype)
-    out[:, :i] = batch[:, :i, None]
-    out[:, i + 2 :] = batch[:, i + 2 :, None]
+    if into is None:
+        into = np.empty((n, n, len(z) * size), batch.dtype)
+    # Splitting the last axis, whose stride is one entry, is always a view.
+    src = batch.reshape(n, n, nodes, 1, size // nodes)
+    out = into.reshape(n, n, nodes, len(z), size // nodes)
+    out[:, :i] = src[:, :i]
+    out[:, i + 2 :] = src[:, i + 2 :]
     # Right multiplication by B_(i+1)(z): column i takes column i + 1, and
     # column i + 1 becomes column i plus z times column i + 1.
-    out[:, i] = batch[:, i + 1, None]
+    out[:, i] = src[:, i + 1]
     col = out[:, i + 1]
-    np.multiply(z, batch[:, i + 1, None], out=col)
-    col += batch[:, i, None]
-    col %= p
-    return out.reshape(n, n, -1)
+    np.multiply(z, src[:, i + 1], out=col)
+    col += src[:, i]
+    _reduce(col, p)
+    return into
+
+
+def _reduce(v: np.ndarray, p: int) -> None:
+    """v mod p in place, for v >= 0, as v - p (v // p): numpy divides by a
+    scalar many times faster than it takes a remainder."""
+    q = v // p
+    q *= p
+    v -= q
 
 
 def _below(target: Permutation) -> list[tuple[int, int]]:
@@ -396,35 +423,53 @@ def _zero(batch: np.ndarray, entries) -> np.ndarray:
     return ok
 
 
-def _leaf_counts(batch, i: int, tests, zs: np.ndarray, p: int, limit: int) -> list[int]:
-    """For each (free, rows) test of _leaf_test, the number of pairs (M, z),
-    M in the batch and z in F_p, with M B_(i+1)(z) P_target upper triangular,
-    found without building the products: A + z B is formed, for every z,
-    only on the rows where it is tested and only for the matrices that pass
-    the z-free entries.  The z values run in runs of at most
-    max(limit, matrices) entries."""
-    counts = []
-    for free, rows in tests:
+def _leaf_counts(batch, i: int, tests, zs: np.ndarray, p: int, limit: int,
+                 nodes: int = 1) -> np.ndarray:
+    """For each (free, rows) test of _leaf_test, and each of the ``nodes``
+    equal runs of the batch, the number of pairs (M, z), M in the run and z
+    in F_p, with M B_(i+1)(z) P_target upper triangular, as an int64 array
+    (tests, nodes).  They are found without building the products: A + z B
+    is formed, for every z, only on the rows where it is tested and only
+    for the matrices that pass the z-free entries.  The z values run in runs
+    of at most max(limit, matrices) entries."""
+    out = np.zeros((len(tests), nodes), dtype=np.int64)
+    for t, (free, rows) in enumerate(tests):
         live = _zero(batch, free)
-        m = int(np.count_nonzero(live))
-        if not rows or not m:
-            counts.append(0 if rows else p * m)
+        per = live.reshape(nodes, -1).sum(axis=1)  # in each run
+        if not rows:
+            out[t] = p * per
             continue
-        # Only the matrices that pass the z-free entries, where some fail.
-        pick = slice(None) if m == len(live) else np.flatnonzero(live)
+        m = int(per.sum())
+        if not m:
+            continue
+        # Only the matrices that pass the z-free entries, where some fail;
+        # those of run j are the columns [first, last) of hit.
+        pick = slice(None) if m == len(live) else live
         cols = [(batch[r, i][pick], batch[r, i + 1][pick]) for r in rows]
-        count, step = 0, max(1, limit // m)
+        ends = np.cumsum(per).tolist()
+        runs = [(j, last - c, last) for j, (c, last) in enumerate(zip(per.tolist(), ends)) if c]
+        step = max(1, limit // m)
         for lo in range(0, p, step):
             z = zs[lo : lo + step]
             hit = np.ones((len(z), m), dtype=bool)
             for a, b in cols:
                 v = z * b
                 v += a
-                v %= p
+                _reduce(v, p)
                 hit &= v == 0
-            count += int(np.count_nonzero(hit))
-        counts.append(count)
-    return counts
+            for j, first, last in runs:
+                out[t, j] += np.count_nonzero(hit[:, first:last])
+    return out
+
+
+def _pick(batch: np.ndarray, nodes: int, js: list[int]) -> np.ndarray:
+    """The runs js, ascending, of a batch of ``nodes`` equal runs: a view
+    when they are consecutive."""
+    size = batch.shape[2] // nodes
+    if js[-1] - js[0] + 1 == len(js):
+        return batch[:, :, js[0] * size : (js[-1] + 1) * size]
+    n = batch.shape[0]
+    return batch.reshape(n, n, nodes, size)[:, :, js].reshape(n, n, -1)
 
 
 def _enumerate_counts(
@@ -433,11 +478,19 @@ def _enumerate_counts(
     """For each word, on one strand count, and each target, the number of z
     with B_word(z) P_target upper triangular mod p.
 
-    The words' trie is walked depth first from the identity.  Each node's
-    batch is its parent's extended by one letter, split into z runs so that
-    no batch holds more than _BATCH_BYTES of entries; a word's last letter
-    is counted from its parent's batch (_leaf_counts) and never built.  The
-    cost is the sum over the trie's inner nodes of their batch sizes."""
+    The words' trie is walked from the identity in groups of nodes of one
+    depth, depth first.  A group's batch is its nodes' batches side by side,
+    all of one size.  For each letter, one _leaf_counts pass counts, per
+    node, the words whose last letter it is, which are never built, and one
+    _extend builds the children of the nodes that the letter leads on from.
+    The children are packed, in order, into groups of at most a room of
+    matrices; where one child alone would pass the room, each child is
+    built in runs of its letter's z values, each run a group of its own.
+    The room is _BATCH_BYTES of entries for a group that is extended no
+    further, and shrinks by p for each letter still to be extended below
+    it, down to 1/64 of that, so that a long word holds one full batch and
+    not one per letter.  The cost is the sum over the trie's inner nodes of
+    their batch sizes."""
     if not words:
         return []
     n = words[0].strands
@@ -448,28 +501,76 @@ def _enumerate_counts(
         for idx, _ in b.letters:
             ends, kids = kids.setdefault(idx, ([], {}))
         ends.append(k)
+    heights: dict[int, int] = {}
+
+    def height(node) -> int:
+        """How many more times a group holding the node is extended."""
+        if id(node) not in heights:
+            heights[id(node)] = max((1 + height(kids) for _, kids in node.values() if kids), default=0)
+        return heights[id(node)]
+
     dtype = _entry_dtype(p)
     zs = np.arange(p, dtype=dtype)[:, None]
     limit = max(1, _BATCH_BYTES // (n * n * dtype.itemsize))
     tests = [[_leaf_test(w, i) for w in targets] for i in range(n - 1)]
     counts = [[0] * len(targets) for _ in words]
 
-    def walk(batch, node):
-        for idx, (ends, kids) in node.items():
-            i = idx - 1
-            if ends:
-                got = _leaf_counts(batch, i, tests[i], zs, p, limit)
-                for k in ends:
-                    counts[k] = [c + g for c, g in zip(counts[k], got)]
-            if kids:
-                step = max(1, limit // batch.shape[2])
+    def walk(batch, nodes):
+        size = batch.shape[2] // len(nodes)
+        # The nodes that each letter ends words at, and the (letter, node)
+        # pairs whose child has children of its own, in letter order.
+        enders: dict[int, list[int]] = {}
+        kids = []
+        for j, node in enumerate(nodes):
+            for idx, (done, more) in node.items():
+                if done:
+                    enders.setdefault(idx, []).append(j)
+                if more:
+                    kids.append((idx, j))
+        for idx, js in enders.items():
+            got = _leaf_counts(_pick(batch, len(nodes), js), idx - 1, tests[idx - 1],
+                               zs, p, limit, len(js))
+            for j, add in zip(js, got.T.tolist()):
+                for k in nodes[j][idx][0]:
+                    counts[k] = [c + g for c, g in zip(counts[k], add)]
+        if not kids:
+            return
+        kids.sort()
+        # The room is only worked out where the children pass its floor.
+        room = max(limit >> 6, 1)
+        if p * size * len(kids) > room:
+            room = max(limit // p ** (max(map(height, nodes)) - 1), room)
+        # Each child batch is passed straight on, so that it is freed before
+        # the next one is built.
+        if p * size > room:
+            step = max(1, room // size)
+            for idx, j in kids:
                 for lo in range(0, p, step):
-                    walk(_extend(batch, i, zs[lo : lo + step], p), kids)
+                    walk(_extend(_pick(batch, len(nodes), [j]), idx - 1, zs[lo : lo + step], p),
+                         [nodes[j][idx][1]])
+            return
+        per = max(1, room // (p * size))
+        for lo in range(0, len(kids), per):
+            chunk = kids[lo : lo + per]
+            walk(grow(batch, len(nodes), chunk), [nodes[j][idx][1] for idx, j in chunk])
+
+    def grow(batch, nodes, chunk):
+        """One batch of the children (letter, node) of the chunk, in order:
+        one _extend per letter."""
+        size = batch.shape[2] // nodes
+        out, at = np.empty((n, n, len(chunk) * p * size), dtype), 0
+        for idx, run in itertools.groupby(chunk, key=lambda kid: kid[0]):
+            js = [j for _, j in run]
+            m = len(js) * p * size
+            _extend(_pick(batch, nodes, js), idx - 1, zs, p, len(js), out[:, :, at : at + m])
+            at += m
+        return out
 
     eye = np.eye(n, dtype=dtype)[:, :, None]
     for k in empty:
         counts[k] = [int(_zero(eye, _below(w))[0]) for w in targets]
-    walk(eye, trie)
+    if trie:
+        walk(eye, [trie])
     return counts
 
 

@@ -14,16 +14,18 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import curves, hecke, recursion, soergel
 from .algebra import A, LaurentPoly, ONE, Q, RatFunc, T, render_descending, series_truncate
 from .braid import (
     BraidWord,
     closure_components,
-    cyclic_rotate,
     half_twist,
     longest_permutation,
     identity_permutation,
     inverse_permutation,
+    permutation_length,
     torus_braid,
 )
 
@@ -176,56 +178,66 @@ def suite_hecke_vs_brute(
     s = VerificationReport("hecke-vs-brute")
     words = list(_positive_words(max_strands, max_len))
     # Each word is folded once, as its last letter folded onto its prefix's
-    # fold, and every count is read from its fold.  Every cyclic rotation of
-    # a word is itself one of the words, so the rotation check reads the
-    # counts the brute-force check already made.
-    folds: dict[BraidWord, hecke._Fold] = {}
+    # fold, and every check reads its rows from that fold.  Every cyclic
+    # rotation of a word is itself one of the words.
+    folds: dict[tuple, hecke._Fold] = {}
 
-    def fold(b: BraidWord) -> hecke._Fold:
-        if b not in folds:
-            if b.letters:
-                prefix = fold(BraidWord(b.strands, b.letters[:-1]))
-                folds[b] = hecke._fold(BraidWord(b.strands, b.letters[-1:]), start=prefix)
-            else:
-                folds[b] = hecke._fold(b)
-        return folds[b]
+    def fold(n: int, letters: tuple) -> hecke._Fold:
+        f = folds.get((n, letters))
+        if f is None:
+            start = fold(n, letters[:-1]) if letters else None
+            f = folds[n, letters] = hecke._fold(BraidWord(n, letters[-1:]), start=start)
+        return f
 
-    point_count = functools.cache(lambda b, target: hecke._count(fold(b), target))
+    @functools.cache
+    def row(n: int, letters: tuple, w: tuple) -> tuple:
+        """The coefficients of the fold's row at w, to its last nonzero one:
+        q^len(w^-1) times #X(word; w^-1), as a polynomial in q."""
+        coeffs = fold(n, letters).row(w).tolist()
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
 
     def brute_mismatches():
-        # One trie walk per strand count and prime covers all of its words.
+        # One trie walk per strand count and prime covers all of its words,
+        # against the fold's rows at q = p: each is p^len(target) times the
+        # count.
         mismatches = []
         for n in range(1, max_strands + 1):
             group = [b for b in words if b.strands == n]
             targets = (identity_permutation(n), longest_permutation(n))
-            polys = [[point_count(b, t).coeffs for t in targets] for b in group]
+            shifts = [permutation_length(t) for t in targets]
+            polys = [[row(n, b.letters, inverse_permutation(t)) for t in targets] for b in group]
             for p in primes:
                 brute = hecke._enumerate_counts(group, targets, p)
-                for b, counts, got in zip(group, polys, brute):
-                    for target, coeffs, c in zip(targets, counts, got):
-                        want = sum(k * p**e for e, k in coeffs.items())
-                        if c != want:
-                            mismatches.append((b.word_str(), n, target, p, c, want))
+                for b, rows, got in zip(group, polys, brute):
+                    for target, ell, coeffs, c in zip(targets, shifts, rows, got):
+                        at_p = sum(k * p**e for e, k in enumerate(coeffs))
+                        if c * p**ell != at_p:
+                            mismatches.append((b.word_str(), n, target, p, c, at_p))
         return mismatches
 
     def divisibility_failures():
-        # Reading the count at target w^-1 divides the coefficient at w by
-        # q^len(w), and raises where it cannot.
+        # The count at target w^-1 is the fold's row at w divided by
+        # q^len(w), so every coefficient of that row below q^len(w) must
+        # vanish.
         failures = []
         for b in words:
-            for w in fold(b).perms():
-                try:
-                    point_count(b, inverse_permutation(w))
-                except ArithmeticError:
-                    failures.append((b.word_str(), w))
+            f = fold(b.strands, b.letters)
+            low = np.arange(f.arr.shape[1]) < f.lengths()[:, None]
+            bad = np.flatnonzero(((f.arr != 0) & low).any(axis=1))
+            if len(bad):
+                perms = f.perms()
+                failures += [(b.word_str(), perms[r]) for r in bad]
         return failures
 
     def rotation_failures():
         failures = []
         for b in words:
-            e = identity_permutation(b.strands)
-            for k in range(1, len(b.letters)):
-                if point_count(cyclic_rotate(b, k), e) != point_count(b, e):
+            n, letters = b.strands, b.letters
+            e = identity_permutation(n)
+            for k in range(1, len(letters)):
+                if row(n, letters[k:] + letters[:k], e) != row(n, letters, e):
                     failures.append((b.word_str(), k))
         return failures
 
@@ -378,18 +390,19 @@ def suite_ors_maulik() -> VerificationReport:
 
 def suite_qt_symmetry() -> VerificationReport:
     s = VerificationReport("qt-symmetry")
+    # The checks of a knot read one numerator and one census.
+    reduced_knot_poly = functools.cache(recursion.reduced_knot_poly)
+    term_census_a = functools.cache(recursion.term_census_a)
     for m, n in ((2, 3), (2, 5), (2, 7), (3, 4), (3, 5)):
         s.check(
             f"reduced({m},{n}) is symmetric in q and t",
-            lambda m=m, n=n: recursion.reduced_knot_poly(m, n),
-            lambda m=m, n=n: recursion.reduced_knot_poly(m, n).swap_qt(),
+            lambda m=m, n=n: reduced_knot_poly(m, n),
+            lambda m=m, n=n: reduced_knot_poly(m, n).swap_qt(),
         )
         s.check(
             f"reduced({m},{n}) at q=t=1 = a=0 census count",
-            lambda m=m, n=n: dict(recursion.term_census_a(m, n)).get(0, 0),
-            lambda m=m, n=n: sum(
-                recursion.reduced_knot_poly(m, n).evaluate_qt1().values()
-            ),
+            lambda m=m, n=n: dict(term_census_a(m, n)).get(0, 0),
+            lambda m=m, n=n: sum(reduced_knot_poly(m, n).evaluate_qt1().values()),
         )
     return s
 

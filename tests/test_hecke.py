@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -801,7 +802,8 @@ class TestBruteForce:
         tests = [hecke._leaf_test(longest_permutation(2), 0)]
         assert tests == [([], [1])]
         want = sum((p - 1 + z * (p - 1)) % p == 0 for z in range(p))
-        assert hecke._leaf_counts(batch, 0, tests, zs, p, p) == [want] == [1]
+        assert want == 1
+        assert hecke._leaf_counts(batch, 0, tests, zs, p, p).tolist() == [[want]]
         for w in (identity_permutation(b.strands), longest_permutation(b.strands)):
             assert brute_force_count(b, w, p) == at(point_count(b, w), p)
 
@@ -824,22 +826,32 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n, r", [(2, 18), (12, 16)])
     def test_batches_held_to_the_byte_budget(self, monkeypatch, n, r):
-        # Every batch the kernel builds, on any strand count, holds at most
-        # _BATCH_BYTES of matrix entries.
+        # No batch the kernel builds, on any strand count, holds more than
+        # _BATCH_BYTES of matrix entries, and the deepest ones fill it.
         monkeypatch.setattr(hecke, "_BATCH_BYTES", 1 << 16)
-        sizes = []
-        extend = hecke._extend
-
-        def spy(batch, i, z, p):
-            out = extend(batch, i, z, p)
-            sizes.extend((batch.nbytes, out.nbytes))
-            return out
-
-        monkeypatch.setattr(hecke, "_extend", spy)
+        calls = extend_spy(monkeypatch)
         b = BraidWord.make(n, [k % (n - 1) + 1 for k in range(r)])
         e = identity_permutation(n)
         assert brute_force_count(b, e, 2) == at(point_count(b, e), 2)
-        assert (1 << 15) < max(sizes) <= 1 << 16
+        assert (1 << 15) < max(size for _, _, size in calls) <= 1 << 16
+
+    def test_long_word_holds_one_full_batch(self, monkeypatch):
+        # sigma_1^22 at F_2 builds its deepest letter in full batches of
+        # 2^14 matrices and the letters before it in runs that halve toward
+        # the front, so the peak stays near two batches and the leaf test's
+        # temporaries.  One full batch per letter after the first full one
+        # peaked near 10 batches.
+        monkeypatch.setattr(hecke, "_BATCH_BYTES", 1 << 16)
+        b, e = BraidWord.make(2, [1] * 22), identity_permutation(2)
+        want = at(point_count(b, e), 2)
+        tracemalloc.start()
+        try:
+            got = brute_force_count(b, e, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 5 << 16
 
     def test_entry_dtype_refuses_what_int64_cannot_hold(self):
         with pytest.raises(ValueError, match="too large"):
@@ -903,6 +915,131 @@ class TestBruteForce:
         assert point_count(b, (3, 1, 2)) == qp({0: 1})
         assert brute_force_count(b, (2, 3, 1), 3) == 0
         assert point_count(b, (2, 3, 1)) == qp({})
+
+
+def depth_first_counts(words, targets, p):
+    """The trie walk that hecke._enumerate_counts replaced, kept as its
+    oracle: one node at a time, depth first, each inner node's batch its
+    parent's extended by one letter in z runs of at most _BATCH_BYTES of
+    entries, each last letter counted from its parent's batch."""
+    if not words:
+        return []
+    n = words[0].strands
+    empty, trie = [], {}
+    for k, b in enumerate(words):
+        ends, kids = empty, trie
+        for idx, _ in b.letters:
+            ends, kids = kids.setdefault(idx, ([], {}))
+        ends.append(k)
+    dtype = hecke._entry_dtype(p)
+    zs = np.arange(p, dtype=dtype)[:, None]
+    limit = max(1, hecke._BATCH_BYTES // (n * n * dtype.itemsize))
+    tests = [[hecke._leaf_test(w, i) for w in targets] for i in range(n - 1)]
+    counts = [[0] * len(targets) for _ in words]
+
+    def walk(batch, node):
+        for idx, (ends, kids) in node.items():
+            i = idx - 1
+            if ends:
+                got = hecke._leaf_counts(batch, i, tests[i], zs, p, limit)[:, 0].tolist()
+                for k in ends:
+                    counts[k] = [c + g for c, g in zip(counts[k], got)]
+            if kids:
+                step = max(1, limit // batch.shape[2])
+                for lo in range(0, p, step):
+                    walk(hecke._extend(batch, i, zs[lo : lo + step], p), kids)
+
+    eye = np.eye(n, dtype=dtype)[:, :, None]
+    for k in empty:
+        counts[k] = [int(hecke._zero(eye, hecke._below(w))[0]) for w in targets]
+    walk(eye, trie)
+    return counts
+
+
+def extend_spy(monkeypatch):
+    """Record (nodes, z values, output entries) of every _extend call."""
+    calls, extend = [], hecke._extend
+
+    def spy(batch, i, z, p, nodes=1, into=None):
+        out = extend(batch, i, z, p, nodes, into)
+        calls.append((nodes, len(z), out.nbytes))
+        return out
+
+    monkeypatch.setattr(hecke, "_extend", spy)
+    return calls
+
+
+class TestGroupWalk:
+    """The trie walk in same-depth groups against the depth-first walk."""
+
+    @given(
+        word_sets(max_strands=4, max_len=6),
+        st.sampled_from([2, 3, 5, 7]),
+        st.sampled_from([200, 1 << 12, 1 << 20]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_matches_depth_first_walk(self, words, p, batch_bytes, rnd):
+        # Mixed tries with shared prefixes, duplicates and the empty word;
+        # small batches split the groups and run single nodes' z values.
+        n = words[0].strands
+        targets = [identity_permutation(n), longest_permutation(n)]
+        skew = [w for w in itertools.permutations(range(1, n + 1)) if inverse_permutation(w) != w]
+        if skew:
+            targets.append(rnd.choice(skew))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hecke, "_BATCH_BYTES", batch_bytes)
+            assert hecke._enumerate_counts(words, targets, p) == depth_first_counts(words, targets, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_full_tries(self, p):
+        for n in (2, 3, 4):
+            words = [BraidWord.make(n, ls) for k in range(6 if n < 4 else 5)
+                     for ls in itertools.product(range(1, n), repeat=k)]
+            targets = [identity_permutation(n), longest_permutation(n), (2, 3, 1, 4)[:n] if n > 2 else (2, 1)]
+            if n == 3:
+                targets[2] = (2, 3, 1)
+            assert hecke._enumerate_counts(words, targets, p) == depth_first_counts(words, targets, p)
+
+    def test_one_extend_per_letter_and_depth(self, monkeypatch):
+        # All 255 words of up to 7 letters on 3 strands at F_2: each of the
+        # six inner depths fits one group, extended once per letter.
+        calls = extend_spy(monkeypatch)
+        leaves, leaf_counts = [], hecke._leaf_counts
+
+        def leaf_spy(*args):
+            leaves.append(args[-1])
+            return leaf_counts(*args)
+
+        monkeypatch.setattr(hecke, "_leaf_counts", leaf_spy)
+        words = [BraidWord.make(3, ls) for k in range(8) for ls in itertools.product((1, 2), repeat=k)]
+        targets = [identity_permutation(3), longest_permutation(3)]
+        assert hecke._enumerate_counts(words, targets, 2) == depth_first_counts(words, targets, 2)
+        del calls[12:]  # the oracle's own extends
+        assert [nodes for nodes, _, _ in calls] == [1, 1] + [2**d for d in range(1, 6) for _ in "ab"]
+        assert leaves[:14] == [2**d for d in range(7) for _ in "ab"]
+
+    def test_groups_split_and_single_nodes_run(self, monkeypatch):
+        # Batches of 250 matrices at F_5.  The 3-strand trie of up to four
+        # letters holds its two depth-1 nodes in one group, and its depth-2
+        # and depth-3 nodes two to a group, each built by one extend.  A single word outgrows the room
+        # and builds its deeper letters in runs of fewer than five z values.
+        monkeypatch.setattr(hecke, "_BATCH_BYTES", 250 * 9)
+        calls = extend_spy(monkeypatch)
+        targets = [identity_permutation(3), longest_permutation(3), (2, 3, 1)]
+        words = [BraidWord.make(3, ls) for k in range(5) for ls in itertools.product((1, 2), repeat=k)]
+        got = hecke._enumerate_counts(words, targets, 5)
+        # The root's one group by letter, then two groups per depth below.
+        assert [nodes for nodes, _, _ in calls] == [1, 1] + [2] * 6
+        assert max(size for _, _, size in calls) == 250 * 9
+        assert got == depth_first_counts(words, targets, 5)
+        del calls[:]
+        words = [BraidWord.make(3, [1, 2, 1, 2, 1, 2])]
+        got = hecke._enumerate_counts(words, targets, 5)
+        assert {nodes for nodes, _, _ in calls} == {1} and min(z for _, z, _ in calls) < 5
+        assert max(size for _, _, size in calls) <= 250 * 9
+        assert got == depth_first_counts(words, targets, 5)
+
 
 
 class TestQPolyJson:
