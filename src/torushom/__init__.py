@@ -36,7 +36,6 @@ from .braid import (
     BraidWord,
     closure_components,
     cyclic_rotate,
-    full_twist,
     half_twist,
     permutation_of,
     positive_stabilize,

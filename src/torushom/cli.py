@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="braid variety point count")
     p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--word", required=True, help="comma-separated signed indices")
+    p.add_argument("--word", required=True, help="comma-separated positive generator indices")
     p.add_argument("--target", choices=["e", "w0"], default="e")
     p.add_argument("--brute", type=int, metavar="P", help="brute force over F_P")
     p.add_argument("--json", action="store_true")

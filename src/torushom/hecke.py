@@ -131,13 +131,11 @@ def _fold(b: BraidWord, held: int = 0, start: _Fold | None = None) -> _Fold:
     new one, so that price covers it.  The refusal names the letters of
     start and b together.
     """
-    if not b.is_positive():
-        raise ValueError("point counting requires a positive braid word")
     n, r = b.strands, len(b.letters)
     f = start if start is not None else _Fold(n)
     first = f.arr.shape[1]  # degrees are below this before b's first letter
     width = first + r
-    for k, (idx, _) in enumerate(b.letters):
+    for k, idx in enumerate(b.letters):
         j, cols = idx - 1, first + k
         whole, new = _whole(f), ()
         if not whole:
@@ -246,12 +244,10 @@ def point_count(b: BraidWord, target: Permutation) -> LaurentPoly:
     than the one fold.  Both folds are held together under the memory budget,
     and a refusal names b, not the half that passed the budget.
     """
-    if not b.is_positive():
-        raise ValueError("point counting requires a positive braid word")
     if len(target) != b.strands:
         raise ValueError("target permutation size does not match strand count")
     n = b.strands
-    word = b.letters + tuple((i, 1) for i in _reduced_word(target))
+    word = b.letters + tuple(_reduced_word(target))
     k = len(word) // 2
     if k >= len(b.letters) or _demazure_is_w0(n, word[:k]) and _demazure_is_w0(n, word[k:]):
         return _count(_fold(b), target)
@@ -283,7 +279,7 @@ def _demazure_is_w0(n: int, letters) -> bool:
     """Whether the Demazure product of the letters, the longest permutation
     that a subword multiplies to, is the longest permutation w0."""
     w, ell, top = list(range(n)), 0, n * (n - 1) // 2
-    for i, _ in letters:
+    for i in letters:
         if ell == top:
             break
         if w[i - 1] < w[i]:
@@ -498,7 +494,7 @@ def _enumerate_counts(
     empty, trie = [], {}
     for k, b in enumerate(words):
         ends, kids = empty, trie
-        for idx, _ in b.letters:
+        for idx in b.letters:
             ends, kids = kids.setdefault(idx, ([], {}))
         ends.append(k)
     heights: dict[int, int] = {}
@@ -579,8 +575,6 @@ def brute_force_count(b: BraidWord, target: Permutation, p: int) -> int:
 
     p is tested for primality, by trial division up to sqrt(p), only once
     the entry type and the tuple budget admit it, so below about 3.04e9."""
-    if not b.is_positive():
-        raise ValueError("brute force requires a positive braid word")
     if len(target) != b.strands:
         raise ValueError("target permutation size does not match strand count")
     _entry_dtype(p)

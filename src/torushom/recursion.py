@@ -169,10 +169,6 @@ def _lift(arr, k: int):
 
 def _trim(arr, off):
     """Drop zero border slices; None when arr is zero."""
-    nonzero = np.count_nonzero
-    if (nonzero(arr[0]) and nonzero(arr[-1]) and nonzero(arr[:, 0])
-            and nonzero(arr[:, -1]) and nonzero(arr[:, :, 0]) and nonzero(arr[:, :, -1])):
-        return arr, off
     nz = arr != 0
     if not nz.any():
         return None
@@ -433,6 +429,12 @@ def euler_a0(m: int, n: int) -> RatFunc:
     return hhh_a0(m, n).regrade_t(-1, 0)
 
 
+def _check_knot(m: int, n: int) -> None:
+    """Refuse T(m, n) unless it is a knot, gcd(m, n) = 1, before it is evaluated."""
+    if gcd(m, n) != 1:
+        raise ValueError(f"T({m},{n}) is not a knot: gcd={gcd(m, n)}")
+
+
 def _knot_numerator(x: _Num, m: int, n: int) -> _Num:
     """(1-q) * x for the series x of T(m, n)."""
     if x.d > 1:
@@ -445,8 +447,7 @@ def _knot_numerator(x: _Num, m: int, n: int) -> _Num:
 def reduced_numerator(m: int, n: int) -> LaurentPoly:
     """The finite-dimensional (reduced) part of the knot homology: clear the
     (1-q) series factor and the unknot factor (1+a)."""
-    if gcd(m, n) != 1:
-        raise ValueError(f"T({m},{n}) is not a knot: gcd={gcd(m, n)}")
+    _check_knot(m, n)
     x = _knot_numerator(_evaluate(*_torus_pair(m, n)), m, n)
     # The quotient's a^k slice is the alternating sum of the slices up to k,
     # and the remainder is that sum over every slice.
@@ -467,10 +468,7 @@ def term_census_a(m: int, n: int) -> list[tuple[int, int]]:
 
 def reduced_knot_poly(m: int, n: int) -> LaurentPoly:
     """(1-q) * hhh_a0(m, n), renormalized so the minimal t-degree is zero."""
-    if gcd(m, n) != 1:
-        raise ValueError(f"T({m},{n}) is not a knot: gcd={gcd(m, n)}")
-    if m < 1 or n < 1:
-        raise ValueError("reduced numerator needs m, n >= 1")
+    _check_knot(m, n)
     x = _knot_numerator(_evaluate(*_torus_pair(m, n), a0=True), m, n)
     # x is trimmed, so x.ot is its least t-exponent.
     return _to_ratfunc(_Num(x.arr, x.oa, x.oq, 0, 0, x.bound)).num

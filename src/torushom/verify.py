@@ -169,7 +169,7 @@ def _positive_words(max_strands: int, max_len: int) -> Iterable[BraidWord]:
             if ell > 0 and n == 1:
                 continue
             for word in itertools.product(gens, repeat=ell):
-                yield BraidWord.make(n, list(word))
+                yield BraidWord(n, word)
 
 
 def suite_hecke_vs_brute(

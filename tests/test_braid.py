@@ -6,8 +6,8 @@ from torushom.braid import (
     BraidWord,
     closure_components,
     cyclic_rotate,
-    full_twist,
     half_twist,
+    identity_permutation,
     longest_permutation,
     parse_word,
     permutation_length,
@@ -22,7 +22,7 @@ def braid_words(max_strands=4, max_len=8):
     return st.integers(2, max_strands).flatmap(
         lambda n: st.lists(
             st.integers(1, n - 1), max_size=max_len
-        ).map(lambda ls: BraidWord.make(n, ls))
+        ).map(lambda ls: BraidWord(n, ls))
     )
 
 
@@ -30,39 +30,53 @@ class TestConstructors:
     def test_torus_2_3(self):
         b = torus_braid(2, 3)
         assert b.strands == 2
-        assert b.letters == ((1, 1),) * 3
+        assert b.letters == (1,) * 3
 
     def test_torus_3_4(self):
         b = torus_braid(3, 4)
         assert b.strands == 3
         assert len(b.letters) == 8
-        assert b.indices() == (1, 2) * 4
+        assert b.letters == (1, 2) * 4
 
     def test_torus_trivial(self):
         assert torus_braid(5, 0).letters == ()
 
     def test_half_twist_small(self):
-        assert half_twist(2).indices() == (1,)
-        assert half_twist(3).indices() == (1, 2, 1)
+        assert half_twist(2).letters == (1,)
+        assert half_twist(3).letters == (1, 2, 1)
 
     def test_full_twist_2(self):
-        assert full_twist(2).indices() == (1, 1)
+        # The full twist on n strands is T(n, n); its permutation is e.
+        assert torus_braid(2, 2).letters == (1, 1)
+        for n in range(1, 6):
+            assert permutation_of(torus_braid(n, n)) == identity_permutation(n)
 
     def test_strand_bound(self):
         with pytest.raises(ValueError):
             torus_braid(13, 1)
 
+    def test_letters_stored_as_a_tuple(self):
+        b = BraidWord(3, iter([1, 2, 1]))
+        assert b.letters == (1, 2, 1) and b == BraidWord(3, (1, 2, 1))
+        assert hash(b) == hash(BraidWord(3, [1, 2, 1]))
+
     def test_bad_letters(self):
-        with pytest.raises(ValueError):
-            BraidWord.make(2, [2])
-        with pytest.raises(ValueError):
-            BraidWord.make(2, [0])
+        # Only sigma_1 .. sigma_(n-1) are letters: inverses, 0 and n are refused.
+        for strands in (2, 3, 5):
+            for letter in (-1, 0, strands):
+                with pytest.raises(ValueError, match="braid words are positive"):
+                    BraidWord(strands, [1, letter])
 
     def test_parse_word(self):
-        b = parse_word(3, "1,-2,1")
-        assert b.letters == ((1, 1), (2, -1), (1, 1))
-        assert not b.is_positive()
+        assert parse_word(3, "1,2,1").letters == (1, 2, 1)
+        assert parse_word(3, " 2 , 1 ,").letters == (2, 1)
         assert parse_word(3, "").letters == ()
+        with pytest.raises(ValueError, match="braid letter -2 .*positive"):
+            parse_word(3, "1,-2,1")
+
+    @given(braid_words())
+    def test_parse_word_round_trip(self, b):
+        assert parse_word(b.strands, b.word_str()) == b
 
 
 class TestPermutations:
@@ -86,7 +100,7 @@ class TestPermutations:
     def test_braid_relation_far_commutation(self, b):
         letters = list(b.letters)
         for k in range(len(letters) - 1):
-            (i, _), (j, _) = letters[k], letters[k + 1]
+            i, j = letters[k], letters[k + 1]
             if abs(i - j) > 1:
                 swapped = letters[:k] + [letters[k + 1], letters[k]] + letters[k + 2:]
                 assert permutation_of(BraidWord(b.strands, tuple(swapped))) == \
@@ -97,8 +111,8 @@ class TestPermutations:
         if n < 3:
             return
         for i in range(1, n - 1):
-            left = BraidWord.make(n, [i, i + 1, i])
-            right = BraidWord.make(n, [i + 1, i, i + 1])
+            left = BraidWord(n, [i, i + 1, i])
+            right = BraidWord(n, [i + 1, i, i + 1])
             assert permutation_of(left) == permutation_of(right)
 
     @given(st.integers(1, 6), st.integers(0, 8))
@@ -120,16 +134,16 @@ class TestClosureAndMoves:
         assert closure_components(BraidWord(3, ())) == 3
 
     def test_rotate_examples(self):
-        b = BraidWord.make(3, [1, 2, 1])
-        assert cyclic_rotate(b, 1).indices() == (2, 1, 1)
+        b = BraidWord(3, [1, 2, 1])
+        assert cyclic_rotate(b, 1).letters == (2, 1, 1)
         assert cyclic_rotate(b, 0) == b
         assert cyclic_rotate(b, 3) == b
 
     def test_stabilize_examples(self):
         b = positive_stabilize(BraidWord(1, ()))
-        assert b.strands == 2 and b.indices() == (1,)
+        assert b.strands == 2 and b.letters == (1,)
         b2 = positive_stabilize(torus_braid(2, 3))
-        assert b2.strands == 3 and b2.indices() == (1, 1, 1, 2)
+        assert b2.strands == 3 and b2.letters == (1, 1, 1, 2)
 
     @given(braid_words(), st.integers(0, 16))
     def test_rotation_preserves_components(self, b, k):

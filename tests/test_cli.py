@@ -61,6 +61,14 @@ class TestExamples:
         code, out, _ = run(capsys, "hhh", "torus", "2", "3", "--reduced")
         assert code == 0 and out.strip() == "t + q"
 
+    @pytest.mark.parametrize("m,n", [(0, 1), (1, 0), (1, 1)])
+    def test_unknot_reduced_agrees_with_census(self, capsys, m, n):
+        # Every unknot T(m, n) has the reduced numerator 1: one term, at a^0.
+        code, out, _ = run(capsys, "hhh", "torus", str(m), str(n), "--reduced")
+        assert code == 0 and out.strip() == "1"
+        code, out, _ = run(capsys, "hhh", "torus", str(m), str(n), "--census")
+        assert code == 0 and out.splitlines() == ["a^0: 1"]
+
     def test_truncate(self, capsys):
         code, out, _ = run(capsys, "hhh", "torus", "1", "1", "--a0", "--truncate", "2")
         assert code == 0
@@ -184,7 +192,14 @@ class TestExitCodes:
     def test_malformed_word_names_the_letter(self, capsys):
         code, out, err = run(capsys, "count", "--strands", "2", "--word", "1,x")
         assert code == 2 and not out
-        assert "braid letter 'x' is not a signed integer" in err
+        assert "braid letter 'x' is not an integer generator index" in err
+
+    @pytest.mark.parametrize("brute", [[], ["--brute", "2"]])
+    def test_inverse_letter_refused(self, capsys, brute):
+        # Words are positive: an inverse letter is refused as the word is read.
+        code, out, err = run(capsys, "count", "--strands", "2", "--word", "1,-1", *brute)
+        assert code == 2 and not out
+        assert "braid letter -1" in err and "braid words are positive" in err
 
     def test_domain_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "catalan", "2", "4")

@@ -72,7 +72,7 @@ def mutate_fold(monkeypatch, strands, letters, change):
 
     def spy(b, held=0, start=None):
         f = fold(b, held, start)
-        word_of[id(f)] = (word_of[id(start)] if start is not None else ()) + b.indices()
+        word_of[id(f)] = (word_of[id(start)] if start is not None else ()) + b.letters
         if (b.strands, word_of[id(f)]) == (strands, letters):
             change(f)
         return f
