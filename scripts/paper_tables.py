@@ -22,7 +22,7 @@ from torushom import (
 )
 from torushom.algebra import render_descending, render_poly, render_ratfunc
 from torushom.braid import identity_permutation
-from torushom.curves import euler_compare, hilb_poincare_series, node_hilb
+from torushom.curves import node_hilb
 
 
 MAX_TWO_STRAND = 7   # largest T(2, n) to print
@@ -65,11 +65,9 @@ def curve_tables(ors_kmax: int) -> None:
     print()
     print("== Hilbert scheme series and comparisons ==")
     for m, n in CURVES:
-        table = hilb_poincare_series(m, n, ors_kmax)
-        print(f"hilb({m},{n}) entries: {dict(table.entries)}")
-        print(ors_compare(m, n, ors_kmax).render())
-        ok, ratio = euler_compare(m, n, ors_kmax)
-        print(f"euler({m},{n}): {'match' if ok else 'MISMATCH'} ratio {ratio}")
+        report = ors_compare(m, n, ors_kmax)
+        print(f"hilb({m},{n}) entries: {dict(report.hilb_table.entries)}")
+        print(report.render())
     print(f"node series: {dict(node_hilb(6).entries)}")
 
 

@@ -47,7 +47,6 @@ from .curves import (
     cell_dimension,
     enumerate_hilb_ideals,
     enumerate_jacobian_modules,
-    euler_compare,
     hilb_poincare_series,
     jacobian_cells,
     lattice_path_count,

@@ -366,26 +366,6 @@ def series_truncate(r: RatFunc, depth: int) -> GradedTable:
     return GradedTable.build(acc, depth)
 
 
-def table_monomial_ratio(
-    t1: GradedTable, t2: GradedTable
-) -> Optional[tuple[int, int, int]]:
-    """Monomial shift (dq, dt, da) with t2 = shift(t1) on the window where
-    both truncations are complete.  Counts must match exactly."""
-    if not t1.entries or not t2.entries:
-        return None
-    k1, c1 = t1.entries[0]
-    k2, c2 = t2.entries[0]
-    if c1 != c2:
-        return None
-    dq, dt, da = (k2[0] - k1[0], k2[1] - k1[1], k2[2] - k1[2])
-    lim1 = min(t1.truncation, t2.truncation - dq)
-    lim2 = min(t2.truncation, t1.truncation + dq)
-    d1 = {k: v for k, v in t1.entries if k[0] <= lim1}
-    d2 = {k: v for k, v in t2.entries if k[0] <= lim2}
-    shifted = {(k[0] + dq, k[1] + dt, k[2] + da): v for k, v in d1.items()}
-    return (dq, dt, da) if shifted == d2 else None
-
-
 def qta_degree_from_QTA(deg_big_q: int, deg_big_t: int, deg_big_a: int) -> Exponent:
     """Convert (Q, T, A)-degrees to (e_q, e_t, e_a) via q=Q^2, t=T^2/Q^2, a=A/Q^2.
 

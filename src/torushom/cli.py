@@ -194,7 +194,6 @@ def _cmd_catalan(args) -> int:
 
 def _cmd_ors(args) -> int:
     report = curves.ors_compare(args.m, args.n, args.max_k)
-    euler_ok, euler_ratio = curves.euler_compare(args.m, args.n, args.max_k)
     if args.json:
         print(
             json.dumps(
@@ -203,17 +202,13 @@ def _cmd_ors(args) -> int:
                     "n": report.n,
                     "kmax": report.kmax,
                     "match": report.success,
-                    "ratio": list(report.ratio) if report.ratio else None,
-                    "euler_match": euler_ok,
-                    "euler_ratio": list(euler_ratio) if euler_ratio else None,
+                    "euler_match": report.euler_success,
                 }
             )
         )
     else:
         print(report.render())
-        print(f"euler({args.m},{args.n}) kmax={args.max_k}: "
-              + ("match" if euler_ok else "MISMATCH"))
-    return 0 if report.success and euler_ok else 1
+    return 0 if report.success and report.euler_success else 1
 
 
 def _cmd_verify(args) -> int:

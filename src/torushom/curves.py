@@ -14,7 +14,7 @@ from functools import cached_property
 from math import comb, gcd
 from typing import Optional
 
-from .algebra import GradedTable, series_truncate, table_monomial_ratio
+from .algebra import GradedTable, series_truncate
 
 JACOBIAN = "jacobian"
 HILB = "hilb"
@@ -355,11 +355,6 @@ def jacobian_poincare(m: int, n: int) -> dict[int, int]:
     return _cell_poincare(enumerate_jacobian_modules(m, n))
 
 
-def hilb_level_poincare(m: int, n: int, k: int) -> dict[int, int]:
-    """t-degree -> count over the cells of Hilb^k."""
-    return _cell_poincare(enumerate_hilb_ideals(m, n, k))
-
-
 def hilb_poincare_series(m: int, n: int, kmax: int) -> GradedTable:
     """sum_k q^k (sum_cells t^{2 dim}) for 0 <= k <= kmax."""
     sem = _admit(m, n, kmax)
@@ -389,8 +384,8 @@ def node_hilb(kmax: int) -> GradedTable:
 
 
 # Documented regrading between the Hilbert-scheme series and the a=0 homology
-# series: t -> 1/(q t^2), given as the exponents (e_q, e_t) of the image, with
-# any leftover normalization reported as an overall monomial ratio.
+# series: t -> 1/(q t^2), given as the exponents (e_q, e_t) of the image.  The
+# two tables must then be equal, with no shift.
 ORS_T_IMAGE = (-1, -2)
 
 
@@ -400,47 +395,29 @@ class OrsReport:
     n: int
     kmax: int
     success: bool
-    ratio: Optional[tuple[int, int, int]]
+    euler_success: bool
     hilb_table: GradedTable
     homology_table: GradedTable
 
     def render(self) -> str:
-        status = "match" if self.success else "MISMATCH"
-        ratio = (
-            f" ratio q^{self.ratio[0]}*t^{self.ratio[1]}"
-            if self.success and self.ratio is not None
-            else ""
+        head = f"({self.m},{self.n}) kmax={self.kmax}: "
+        return "\n".join(
+            f"{name}{head}{'match' if ok else 'MISMATCH'}"
+            for name, ok in (("ors", self.success), ("euler", self.euler_success))
         )
-        return f"ors({self.m},{self.n}) kmax={self.kmax}: {status}{ratio}"
 
 
 def ors_compare(m: int, n: int, kmax: int) -> OrsReport:
     """Compare the Hilbert scheme series with the regraded a=0 homology
-    series on the common truncation window."""
+    series on q-degrees <= kmax, and its t=1 specialization with the Euler
+    characteristic series (a -> 0, then t -> 1/q, as ``euler_a0``)."""
     from .recursion import hhh_a0
 
     hilb = hilb_poincare_series(m, n, kmax)
-    regraded = hhh_a0(m, n).regrade_t(*ORS_T_IMAGE)
-    homology = series_truncate(regraded, kmax)
-    ratio = table_monomial_ratio(hilb, homology)
-    return OrsReport(m, n, kmax, ratio is not None, ratio, hilb, homology)
-
-
-def euler_compare(
-    m: int, n: int, kmax: int
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Check the point-count (Euler characteristic) shadow: the Hilbert
-    series at t=1 against the q-only homology specialization."""
-    from .recursion import euler_a0
-
-    hilb = hilb_poincare_series(m, n, kmax)
+    a0 = hhh_a0(m, n)
+    homology = series_truncate(a0.regrade_t(*ORS_T_IMAGE), kmax)
     flat = GradedTable.build(
         {(eq, 0, 0): c for eq, c in hilb.specialize_t1().items()}, kmax
     )
-    target = series_truncate(euler_a0(m, n), kmax)
-    ratio = table_monomial_ratio(flat, target)
-    return ratio is not None, ratio
-
-
-def node_euler(kmax: int) -> dict[int, int]:
-    return node_hilb(kmax).specialize_t1()
+    euler = series_truncate(a0.regrade_t(-1, 0), kmax)
+    return OrsReport(m, n, kmax, hilb == homology, flat == euler, hilb, homology)

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from torushom import curves
-from torushom.algebra import Q, RatFunc, q_poly_from_json, ratfunc_from_json, table_from_json
+from torushom import curves, recursion
+from torushom.algebra import Q, RatFunc, T, q_poly_from_json, ratfunc_from_json, table_from_json
 from torushom.braid import half_twist, torus_braid
 from torushom.cli import dispatch
 
@@ -89,10 +89,26 @@ class TestExamples:
         assert code == 0
         assert "Q^4 T^-2: 1" in out.splitlines()
 
-    def test_ors(self, capsys):
+    def test_ors(self, capsys, monkeypatch):
         code, out, _ = run(capsys, "ors", "2", "3", "--max-k", "6")
         assert code == 0
-        assert "match" in out
+        assert out.splitlines() == ["ors(2,3) kmax=6: match", "euler(2,3) kmax=6: match"]
+        code, out, _ = run(capsys, "ors", "2", "3", "--max-k", "6", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "m": 2, "n": 3, "kmax": 6, "match": True, "euler_match": True,
+        }
+        code, _, err = run(capsys, "ors", "2", "4", "--max-k", "6")
+        assert code == 2 and "coprime" in err
+        # A monomial shift of the a=0 series is a wrong answer.
+        hhh_a0 = recursion.hhh_a0
+        for shift in (Q, T):
+            monkeypatch.setattr(recursion, "hhh_a0", lambda m, n: hhh_a0(m, n) * shift)
+            code, out, _ = run(capsys, "ors", "3", "4", "--max-k", "10")
+            assert code == 1
+            assert out.splitlines() == [
+                "ors(3,4) kmax=10: MISMATCH", "euler(3,4) kmax=10: MISMATCH",
+            ]
 
 
 class TestJsonOutputs:

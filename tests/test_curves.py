@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from math import gcd
 
-from torushom import curves
-from torushom.algebra import LaurentPoly, RatFunc, series_truncate
+from torushom import curves, recursion
+from torushom.algebra import LaurentPoly, Q, RatFunc, T, series_truncate
 from torushom.curves import (
     CellRecord,
     GammaModule,
@@ -18,13 +18,10 @@ from torushom.curves import (
     cell_dimension,
     enumerate_hilb_ideals,
     enumerate_jacobian_modules,
-    euler_compare,
-    hilb_level_poincare,
     hilb_poincare_series,
     jacobian_cells,
     jacobian_poincare,
     lattice_path_count,
-    node_euler,
     node_hilb,
     ors_compare,
     rational_catalan,
@@ -544,10 +541,10 @@ class TestModuleBudget:
     def test_hilb_boundary(self, monkeypatch):
         # 4 levels of at most c(2, 3) = 2 ideals in windows of 2 + 3 + 3 bits
         monkeypatch.setattr(curves, "MAX_MODULE_BITS", 64)
-        assert hilb_level_poincare(2, 3, 3) == {0: 1, 2: 1}
+        assert hilb_level(2, 3, 3) == {0: 1, 2: 1}
         assert len(hilb_poincare_series(2, 3, 3).entries) == 6
         monkeypatch.setattr(curves, "MAX_MODULE_BITS", 63)
-        for call in (hilb_poincare_series, enumerate_hilb_ideals, hilb_level_poincare):
+        for call in (hilb_poincare_series, enumerate_hilb_ideals):
             with pytest.raises(ValueError, match="colength <= 3 .*module budget"):
                 call(2, 3, 3)
 
@@ -581,6 +578,11 @@ class TestModuleBudget:
         assert len(modules) == rational_catalan(2, 301) == 151
 
 
+def hilb_level(m, n, k):
+    """t-degree -> count over the cells of Hilb^k, enumerated on its own."""
+    return curves._cell_poincare(enumerate_hilb_ideals(m, n, k))
+
+
 class TestSeries:
     def test_cusp_series(self):
         expected = series_truncate(
@@ -594,7 +596,7 @@ class TestSeries:
         assert hilb_poincare_series(2, 5, 5) == expected
 
     def test_negative_colength_refused(self):
-        for call in (hilb_poincare_series, enumerate_hilb_ideals, hilb_level_poincare):
+        for call in (hilb_poincare_series, enumerate_hilb_ideals):
             with pytest.raises(ValueError, match="colength must be >= 0"):
                 call(2, 3, -1)
 
@@ -611,9 +613,6 @@ class TestSeries:
             (3, 2, 0): 2,
         }
 
-    def test_node_euler(self):
-        assert node_euler(3) == {0: 1, 1: 1, 2: 2, 3: 3}
-
     def test_node_kmax_zero(self):
         assert node_hilb(0).as_dict() == {(0, 0, 0): 1}
 
@@ -623,7 +622,7 @@ class TestSeries:
         for (k, td, _), c in hilb_poincare_series(m, n, kmax).entries:
             rows.setdefault(k, {})[td] = c
         assert [rows.get(k, {}) for k in range(kmax + 1)] == [
-            hilb_level_poincare(m, n, k) for k in range(kmax + 1)
+            hilb_level(m, n, k) for k in range(kmax + 1)
         ]
 
     def test_series_grows_levels_once(self):
@@ -636,8 +635,8 @@ class TestSeries:
     @pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (2, 7), (3, 4)])
     def test_stabilization(self, m, n):
         delta = semigroup(m, n).delta
-        stable = hilb_level_poincare(m, n, 2 * delta)
-        assert stable == hilb_level_poincare(m, n, 2 * delta + 1)
+        stable = hilb_level(m, n, 2 * delta)
+        assert stable == hilb_level(m, n, 2 * delta + 1)
         assert stable == jacobian_poincare(m, n)
 
 
@@ -646,9 +645,22 @@ class TestComparisons:
     def test_ors_match(self, m, n, kmax):
         report = ors_compare(m, n, kmax)
         assert report.success
-        assert report.ratio == (0, 0, 0)
+        assert report.hilb_table == report.homology_table
+        assert report.render() == (
+            f"ors({m},{n}) kmax={kmax}: match\neuler({m},{n}) kmax={kmax}: match"
+        )
 
     @pytest.mark.parametrize("m,n", [(2, 3), (2, 5), (2, 7), (3, 4)])
     def test_euler_match(self, m, n):
-        ok, ratio = euler_compare(m, n, 8)
-        assert ok and ratio == (0, 0, 0)
+        assert ors_compare(m, n, 8).euler_success
+
+    @pytest.mark.parametrize("shift", [Q, T], ids=["q", "t"])
+    def test_shifted_homology_fails_both(self, monkeypatch, shift):
+        # A monomial shift of the a=0 series is a wrong answer, not a match.
+        hhh_a0 = recursion.hhh_a0
+        monkeypatch.setattr(recursion, "hhh_a0", lambda m, n: hhh_a0(m, n) * shift)
+        report = ors_compare(3, 4, 10)
+        assert (report.success, report.euler_success) == (False, False)
+        assert report.render() == (
+            "ors(3,4) kmax=10: MISMATCH\neuler(3,4) kmax=10: MISMATCH"
+        )

@@ -16,4 +16,8 @@ def test_paper_tables_runs():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert "#X(sigma^3) = q^2 - q" in result.stdout.splitlines()
+    lines = result.stdout.splitlines()
+    assert "#X(sigma^3) = q^2 - q" in lines
+    for m, n in ((2, 3), (2, 5), (3, 4)):
+        assert f"ors({m},{n}) kmax=4: match" in lines
+        assert f"euler({m},{n}) kmax=4: match" in lines
