@@ -305,14 +305,6 @@ class GradedTable:
     def as_dict(self) -> dict[tuple[int, int, int], int]:
         return dict(self.entries)
 
-    def restrict(self, new_truncation: int) -> "GradedTable":
-        if new_truncation > self.truncation:
-            raise ValueError("cannot extend a truncated table")
-        return GradedTable(
-            tuple((k, v) for k, v in self.entries if k[0] <= new_truncation),
-            new_truncation,
-        )
-
     def specialize_t1(self) -> dict[int, int]:
         """Collapse t (per-q Euler-type count; all entries are even-t here)."""
         out: dict[int, int] = {}

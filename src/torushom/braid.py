@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_STRANDS = 12  # Hecke fold keys of permutations fit int64; its memory budget bounds a fold
+# Not measured.  A Hecke fold keys a permutation of n by its base-n digits,
+# so every key is below n^n, and int64 keys would admit up to 15 strands:
+# 15^15 is about 4.4e17 < 2^63, 16^16 about 1.8e19.  The memory budget
+# bounds a fold; setting this limit from measured capacity is ROADMAP item 10.
+MAX_STRANDS = 12
 
 Permutation = tuple[int, ...]
 

@@ -16,17 +16,42 @@ chain reaches.  A pair whose step (rule, argument and the values it reads)
 repeats an earlier one is an alias for it too, so each distinct step is
 evaluated once.  The steps are evaluated children first, and each value is
 dropped as soon as its last reader has read it.  A numerator is a dense
-integer array indexed [a, q, t] with offsets on each axis, so the rules
-become offset changes, slot shifts, shift-subtracts along q (multiplying by
-1 - q) and cumulative sums along q (dividing by it).  Each array is built in
+integer array indexed [a, q, t], its a- and q-axes from exponent 0 and its
+t-axis from an offset, so the rules become offset changes, slot shifts and
+shift-subtracts along q (multiplying by 1 - q).  Each array is built in
 the narrowest of int16, int32 and int64 that holds a tracked bound on its
 coefficients, each capped at ``INT64_HEADROOM``, and in Python ints past
 them; the arithmetic is exact either way.
 
+Every stored value x = N / (1 - q)^d is in lowest terms by construction,
+so nothing is cancelled at run time.  Write a nonzero rational function of
+q as (1 - q)^-e * g with g(1) != 0, and call it positive when g(1) > 0.
+The rules keep four facts:
+
+  (i)   N(1, 1, 1) > 0, that is x at a = t = 1 is positive with e = d;
+  (ii)  N's lowest and highest a-slices are positive at t = 1;
+  (iii) N's lowest and highest t-slices are positive at a = 1;
+  (iv)  N's q^0 coefficient is > 0 at a = t = 1.
+
+The base is (1 + a)^n, or 1, over (1 - q)^n.  MUL by t^ell + a, ell >= 0,
+multiplies N by it and each border slice by a, by t^ell or by 1 + a.  DIV
+keeps N and raises d.  SUM, t^-ell (head + q * tail), lifts each summand
+to the common denominator.  Lifting multiplies each function above by a
+power of 1 - q, the factor q multiplies it by q, and t^-ell only shifts
+t-slices, so no g(1) changes; and a sum of two positive functions is
+positive, since the larger pole wins and equal poles add.  At a = t = 1
+one summand is not lifted, which gives (i).  Each border slice of the sum
+is one summand's or the sum of both, and its q^0 slice is the head's
+alone, which gives (ii) to (iv).  Hence 1 - q never divides N, so DIV and
+SUM never divide; the a- and q-axes start at exponent 0; and no border
+slice but the top q-slice can cancel.  When both summands reach it, SUM
+drops the zero q-slices at the top, which leaves N as it is.
+
 Setting a = 0 is a ring map that commutes with the five rules, since a
 enters only through the base (1 + a)^n and the factor t^ell + a.  The a = 0
 queries therefore evaluate in the quotient by a: the base is its a^0 slice
-and t^ell + a acts as t^ell, an offset change.
+and t^ell + a acts as t^ell, an offset change.  The facts above hold there
+as they stand, with one a-slice and MUL a multiplication by t^ell.
 """
 
 from __future__ import annotations
@@ -102,18 +127,17 @@ def _entry_bytes(dtype: np.dtype, bits: int) -> int:
 
 
 class _Num:
-    """numerator / (1 - q)**d with numerator sum arr[i, j, k] a^(i+oa) q^(j+oq) t^(k+ot).
+    """numerator / (1 - q)**d with numerator sum arr[i, j, k] a^i q^j t^(k+ot).
 
-    ``bound`` bounds every |coefficient|.  The array has no zero border
-    slice and, when d > 0, is not divisible by 1 - q.
+    ``bound`` bounds every |coefficient|.  A value the rules build is in
+    lowest terms (module docstring): the array has no zero border slice and,
+    when d > 0, is not divisible by 1 - q.
     """
 
-    __slots__ = ("arr", "oa", "oq", "ot", "d", "bound")
+    __slots__ = ("arr", "ot", "d", "bound")
 
-    def __init__(self, arr, oa, oq, ot, d, bound):
+    def __init__(self, arr, ot, d, bound):
         self.arr = arr
-        self.oa = oa
-        self.oq = oq
         self.ot = ot
         self.d = d
         self.bound = bound
@@ -130,30 +154,27 @@ def _room(x: _Num, factor: int):
 def _base(n: int, a0: bool = False) -> _Num:
     """(1 + a)^n / (1 - q)^n, or its a^0 slice 1 / (1 - q)^n."""
     if a0:
-        return _Num(np.ones((1, 1, 1), dtype=_rung(1)), 0, 0, 0, n, 1)
+        return _Num(np.ones((1, 1, 1), dtype=_rung(1)), 0, n, 1)
     coeffs = [1]
     for k in range(n):  # math.comb per entry would cost a factor of n more
         coeffs.append(coeffs[-1] * (n - k) // (k + 1))
     bound = coeffs[n // 2]
     arr = np.array(coeffs, dtype=_rung(bound)).reshape(n + 1, 1, 1)
-    return _Num(arr, 0, 0, 0, n, bound)
+    return _Num(arr, 0, n, bound)
 
 
 def _times_t_plus_a(x: _Num, ell: int, a0: bool = False) -> _Num:
-    """(t^ell + a) * x.  A product of trimmed polynomials is trimmed, and
-    (1 - q) does not divide t^ell + a, so the result is canonical.  In the
-    quotient by a it is t^ell * x, which shares x's array."""
+    """(t^ell + a) * x for ell >= 0.  In the quotient by a it is t^ell * x,
+    which shares x's array."""
     if a0:
-        return _Num(x.arr, x.oa, x.oq, x.ot + ell, x.d, x.bound)
+        return _Num(x.arr, x.ot + ell, x.d, x.bound)
     arr = x.arr if _rung(2 * x.bound) <= x.arr.dtype else _room(x, 2)
     na, nq, nt = arr.shape
-    out = np.zeros((na + 1, nq, nt + abs(ell)), dtype=arr.dtype)
-    s = max(ell, 0)
-    out[:na, :, s:s + nt] = arr
-    s = max(-ell, 0)
-    view = out[1:, :, s:s + nt]
+    out = np.zeros((na + 1, nq, nt + ell), dtype=arr.dtype)
+    out[:na, :, ell:] = arr
+    view = out[1:, :, :nt]
     view += arr  # in place, as in _sum_with_q
-    return _Num(out, x.oa, x.oq, x.ot + min(ell, 0), x.d, 2 * x.bound)
+    return _Num(out, x.ot, x.d, 2 * x.bound)
 
 
 def _lift(arr, k: int):
@@ -165,45 +186,6 @@ def _lift(arr, k: int):
         out[:, 1:] -= arr
         arr = out
     return arr
-
-
-def _trim(arr, off):
-    """Drop zero border slices; None when arr is zero."""
-    nz = arr != 0
-    if not nz.any():
-        return None
-    box = []
-    for axis in range(3):
-        hit = np.flatnonzero(nz.any(axis=tuple(i for i in range(3) if i != axis)))
-        box.append((int(hit[0]), int(hit[-1]) + 1))
-    (a0, a1), (q0, q1), (t0, t1) = box
-    return arr[a0:a1, q0:q1, t0:t1], (off[0] + a0, off[1] + q0, off[2] + t0)
-
-
-def _normalize(arr, off, d: int, bound: int) -> _Num:
-    """Cancel every common factor (1 - q) of arr / (1 - q)^d."""
-    trimmed = _trim(arr, off)
-    if trimmed is None:
-        return _Num(np.zeros((1, 1, 1), dtype=_rung(0)), 0, 0, 0, 0, 0)
-    return _divide(_Num(trimmed[0], *trimmed[1], d, bound))
-
-
-def _divide(x: _Num) -> _Num:
-    """Cancel every common factor (1 - q) of x, whose array is trimmed."""
-    while x.d > 0:
-        # (1 - q) divides only if the value at a = q = t = 1 is 0.  An int64
-        # sum may wrap, but a true zero stays zero, so the test is sound.
-        if x.arr.sum():
-            break
-        nq = x.arr.shape[1]
-        arr = _room(x, nq)
-        sums = np.cumsum(arr, axis=1, dtype=arr.dtype)  # not widened to int64
-        if sums[:, -1].any():
-            break
-        x.arr = sums[:, :-1]
-        x.d -= 1
-        x.bound *= nq
-    return x
 
 
 def _sum_with_q(head: _Num, tail: _Num, ell: int) -> _Num:
@@ -218,31 +200,17 @@ def _sum_with_q(head: _Num, tail: _Num, ell: int) -> _Num:
         harr, tarr = _lift(_room(head, 2 << kh), kh), _lift(_room(tail, 2 << kt), kt)
         dtype = np.result_type(harr, tarr)
     (hna, hnq, hnt), (tna, tnq, tnt) = harr.shape, tarr.shape
-    ha, hq, ht, ta, tq, tt = head.oa, head.oq, head.ot, tail.oa, tail.oq + 1, tail.ot
-    oa, oq, ot = min(ha, ta), min(hq, tq), min(ht, tt)
-    shape = (
-        max(ha + hna, ta + tna) - oa,
-        max(hq + hnq, tq + tnq) - oq,
-        max(ht + hnt, tt + tnt) - ot,
-    )
-    out = np.zeros(shape, dtype=dtype)
-    out[ha - oa:ha - oa + hna, hq - oq:hq - oq + hnq, ht - ot:ht - ot + hnt] = harr
-    view = out[ta - oa:ta - oa + tna, tq - oq:tq - oq + tnq, tt - ot:tt - ot + tnt]
+    ht, tt = head.ot, tail.ot
+    ot = min(ht, tt)
+    out = np.zeros((max(hna, tna), max(hnq, tnq + 1), max(ht + hnt, tt + tnt) - ot), dtype=dtype)
+    out[:hna, :hnq, ht - ot:ht - ot + hnt] = harr
+    view = out[:tna, 1:tnq + 1, tt - ot:tt - ot + tnt]
     view += tarr  # in place: out[...] += tarr would also copy the view back
-    bound = (head.bound << kh) + (tail.bound << kt)
-    # Each summand is trimmed, so only a border slice both reach can vanish.
-    nonzero = np.count_nonzero
-    if ((ha == ta and not nonzero(out[0]))
-            or (ha + hna == ta + tna and not nonzero(out[-1]))
-            or (hq == tq and not nonzero(out[:, 0]))
-            or (hq + hnq == tq + tnq and not nonzero(out[:, -1]))
-            or (ht == tt and not nonzero(out[:, :, 0]))
-            or (ht + hnt == tt + tnt and not nonzero(out[:, :, -1]))):
-        return _normalize(out, (oa, oq, ot - ell), d, bound)
-    x = _Num(out, oa, oq, ot - ell, d, bound)
-    # A lifted summand vanishes at q = 1, where the sum is then the other
-    # summand: canonical with d > 0, so 1 - q does not divide it.
-    return x if kh or kt else _divide(x)
+    # The top q-slice is the only border slice that can cancel (module
+    # docstring), and only when both summands reach it.
+    if hnq == tnq + 1 and not np.count_nonzero(out[:, -1]):
+        out = out[:, :np.flatnonzero(np.count_nonzero(out, axis=(0, 2)))[-1] + 1]
+    return _Num(out, ot - ell, d, (head.bound << kh) + (tail.bound << kt))
 
 
 # Plan steps: (rule, argument, ids of the values it reads).
@@ -361,7 +329,7 @@ def _evaluate(v: str, w: str, a0: bool = False) -> _Num:
             res = _times_t_plus_a(values[kids[0]], arg, a0)
         elif rule == _DIV:
             x = values[kids[0]]
-            res = _divide(_Num(x.arr, x.oa, x.oq, x.ot, x.d + 1, x.bound))
+            res = _Num(x.arr, x.ot, x.d + 1, x.bound)
         else:
             if not a0 and live + _base_bytes(arg) > MAX_LIVE_BYTES:
                 raise _refusal(len(v) + len(w), memory)
@@ -380,13 +348,11 @@ def _evaluate(v: str, w: str, a0: bool = False) -> _Num:
 
 
 def _to_ratfunc(x: _Num) -> RatFunc:
-    # x is trimmed, so x.oa is its least a-exponent, and np.nonzero drops
-    # the zero terms that LaurentPoly would otherwise filter out.
-    if x.oa < 0:
-        raise ValueError(f"negative a-exponent {x.oa}")
-    index = np.nonzero(x.arr)
-    coeffs = x.arr[index].tolist()  # Python ints, whatever the dtype
-    exps = zip(*((axis + off).tolist() for axis, off in zip(index, (x.oa, x.oq, x.ot))))
+    # np.nonzero drops the zero terms that LaurentPoly would otherwise filter
+    # out.
+    ia, iq, it = np.nonzero(x.arr)
+    coeffs = x.arr[ia, iq, it].tolist()  # Python ints, whatever the dtype
+    exps = zip(ia.tolist(), iq.tolist(), (it + x.ot).tolist())
     return RatFunc(LaurentPoly._of_clean(dict(zip(exps, coeffs))), x.d)
 
 
@@ -440,8 +406,8 @@ def _knot_numerator(x: _Num, m: int, n: int) -> _Num:
     if x.d > 1:
         raise ValueError(f"residual denominator (1-q)^{x.d - 1}: T({m},{n}) is not a knot")
     if x.d == 1:
-        return _Num(x.arr, x.oa, x.oq, x.ot, 0, x.bound)
-    return _Num(_lift(_room(x, 2), 1), x.oa, x.oq, x.ot, 0, 2 * x.bound)
+        return _Num(x.arr, x.ot, 0, x.bound)
+    return _Num(_lift(_room(x, 2), 1), x.ot, 0, 2 * x.bound)
 
 
 def reduced_numerator(m: int, n: int) -> LaurentPoly:
@@ -458,7 +424,7 @@ def reduced_numerator(m: int, n: int) -> LaurentPoly:
     sums[1::2] *= -1
     if sums[-1].any():
         raise ArithmeticError(f"(1+a) does not divide the T({m},{n}) numerator")
-    return _to_ratfunc(_Num(sums[:-1], x.oa, x.oq, x.ot, 0, x.bound * na)).num
+    return _to_ratfunc(_Num(sums[:-1], x.ot, 0, x.bound * na)).num
 
 
 def term_census_a(m: int, n: int) -> list[tuple[int, int]]:
@@ -470,5 +436,5 @@ def reduced_knot_poly(m: int, n: int) -> LaurentPoly:
     """(1-q) * hhh_a0(m, n), renormalized so the minimal t-degree is zero."""
     _check_knot(m, n)
     x = _knot_numerator(_evaluate(*_torus_pair(m, n), a0=True), m, n)
-    # x is trimmed, so x.ot is its least t-exponent.
-    return _to_ratfunc(_Num(x.arr, x.oa, x.oq, 0, 0, x.bound)).num
+    # x's lowest t-slice is nonzero, so x.ot is its least t-exponent.
+    return _to_ratfunc(_Num(x.arr, 0, 0, x.bound)).num

@@ -40,13 +40,14 @@ BASE = RatFunc.of(ONE + A, 1)
 
 
 def as_num(p: LaurentPoly, d: int = 0) -> recursion._Num:
-    """p / (1 - q)^d as a trimmed int16 numerator."""
-    lo = [min(e[k] for e in p.terms) for k in range(3)]
-    hi = [max(e[k] for e in p.terms) for k in range(3)]
-    arr = np.zeros([h - l + 1 for h, l in zip(hi, lo)], dtype=np.int16)
-    for e, c in p.items():
-        arr[tuple(x - l for x, l in zip(e, lo))] = c
-    return recursion._Num(arr, *lo, d, max(abs(c) for _, c in p.items()))
+    """p / (1 - q)^d as an int16 numerator, its a- and q-axes from exponent 0
+    and its t-axis from p's least t-exponent."""
+    lo = min(et for _, _, et in p.terms)
+    shape = [max(e[k] for e in p.terms) + 1 for k in range(2)]
+    arr = np.zeros(shape + [max(et for _, _, et in p.terms) - lo + 1], dtype=np.int16)
+    for (ea, eq, et), c in p.items():
+        arr[ea, eq, et - lo] = c
+    return recursion._Num(arr, lo, d, max(abs(c) for _, c in p.items()))
 
 
 class TestPairSeries:
@@ -247,18 +248,48 @@ def balanced_pairs(draw):
     return word(), word()
 
 
+def assert_lowest_terms(x: recursion._Num) -> None:
+    """The facts of recursion's module docstring that keep a stored value
+    in lowest terms: positive at a = q = t = 1 and in its q^0 slice there,
+    and no zero border slice."""
+    arr = x.arr
+    assert arr.sum() > 0 and arr[:, 0].sum() > 0
+    for axis in range(3):
+        assert np.take(arr, 0, axis).any() and np.take(arr, -1, axis).any()
+
+
+def spy_lowest_terms(monkeypatch) -> list[int]:
+    """Check every value the evaluation stores with assert_lowest_terms, as
+    it is stored; the list counts them."""
+    seen = []
+    nbytes = recursion._nbytes
+
+    def spy(x):
+        assert_lowest_terms(x)
+        seen.append(1)
+        return nbytes(x)
+
+    monkeypatch.setattr(recursion, "_nbytes", spy)
+    return seen
+
+
 class TestAgainstReference:
     @given(balanced_pairs())
     @settings(deadline=None, max_examples=150)
     def test_random_balanced_pairs(self, pair):
         v, w = pair
-        assert pair_series(v, w) == reference_series(v, w)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = spy_lowest_terms(monkeypatch)
+            assert pair_series(v, w) == reference_series(v, w)
+        assert seen
 
     @pytest.mark.parametrize(
         "m,n", [(m, n) for m in range(0, 14) for n in range(0, 14) if m + n <= 13]
     )
-    def test_small_torus_links(self, m, n):
+    def test_small_torus_links(self, monkeypatch, m, n):
+        seen = spy_lowest_terms(monkeypatch)
         assert hhh_torus(m, n) == reference_series("0" * m, "0" * n)
+        assert seen
 
     @pytest.mark.parametrize("m,n,denom_pow,terms,digest",
                              [(*mn, *pin) for mn, pin in PINNED.items()])
@@ -324,58 +355,19 @@ class TestPlanAgainstReference:
 
 
 class TestEngineKernels:
-    # No torus or random pair seen so far cancels a border slice or leaves a
-    # (1 - q) to divide out, so these paths are checked on made-up numerators.
-    def test_normalize_trims_and_divides(self):
-        # (1 - q)^2 (1 + a t) / (1 - q)^3, with a zero border slice in t.
-        arr = np.zeros((2, 3, 3), dtype=np.int64)
-        arr[0, :, 0] = [1, -2, 1]
-        arr[1, :, 1] = [1, -2, 1]
-        x = recursion._normalize(arr, (0, 0, 0), 3, 2)
-        assert (x.arr.shape, x.d) == ((2, 1, 2), 1)
-        assert recursion._to_ratfunc(x) == RatFunc.of(ONE + A * T, 1)
-
-    def test_sum_cancels_the_low_a_border(self):
-        # (q + a + aq) + q * (-1): the a^0 slices cancel.
-        x = recursion._sum_with_q(as_num(Q + A + A * Q), as_num(-ONE), 2)
-        assert (x.arr.shape, x.oa) == ((1, 2, 1), 1)
-        assert recursion._to_ratfunc(x) == RatFunc.of(A * (ONE + Q) * mono(1, et=-2))
-
+    # Every value the rules build is in lowest terms (recursion's module
+    # docstring), so its top q-slice is the only border slice a sum can
+    # cancel.  The sums here are checked on made-up numerators.
     def test_sum_cancels_the_high_q_border(self):
         # (1 + q) + q * (-1): the q^1 slices cancel.
         x = recursion._sum_with_q(as_num(ONE + Q), as_num(-ONE), 0)
         assert x.arr.shape == (1, 1, 1)
         assert recursion._to_ratfunc(x) == RatFunc.of(ONE)
 
-    def test_sum_divides_at_equal_denominators(self):
-        # (1 + q * (-1)) / (1 - q) = 1: no border vanishes, yet 1 - q divides.
-        x = recursion._sum_with_q(as_num(ONE, 1), as_num(-ONE, 1), 0)
-        assert (x.arr.shape, x.d) == ((1, 1, 1), 0)
-        assert recursion._to_ratfunc(x) == RatFunc.of(ONE)
-
     def test_sum_lifts_unequal_denominators(self):
         # 1 + q / (1 - q) = 1 / (1 - q): the head is lifted to (1 - q) / (1 - q).
         x = recursion._sum_with_q(as_num(ONE), as_num(ONE, 1), 0)
         assert recursion._to_ratfunc(x) == RatFunc(ONE, 1)
-
-    @pytest.mark.parametrize("lifted", ["head", "tail"])
-    def test_lifted_sum_is_not_divided(self, monkeypatch, lifted):
-        # (1 + q) and (a - t) / (1 - q), summed in either order: the
-        # coefficients add up to 0 at a = q = t = 1, yet at q = 1 the sum is
-        # a - t, so 1 - q does not divide it and no division is tried.
-        monkeypatch.setattr(recursion, "_divide", lambda x: pytest.fail("divided a lifted sum"))
-        poly, frac = ONE + Q, A - T
-        if lifted == "head":
-            head, tail, num = as_num(poly), as_num(frac, 1), (ONE - Q) * poly + Q * frac
-        else:
-            head, tail, num = as_num(frac, 1), as_num(poly), frac + Q * (ONE - Q) * poly
-        x = recursion._sum_with_q(head, tail, 2)
-        assert x.arr.sum() == 0
-        assert recursion._to_ratfunc(x) == ratfunc_normalize(num * mono(1, et=-2), 1)
-
-    def test_normalize_zero(self):
-        x = recursion._normalize(np.zeros((1, 2, 1), dtype=np.int64), (0, 0, 0), 2, 0)
-        assert recursion._to_ratfunc(x) == RatFunc.zero()
 
 
 class TestEngineLimits:
@@ -429,20 +421,12 @@ class TestEngineLimits:
     def test_mixed_sum_is_exact(self):
         # An int16 head and an int32 tail: the sum is held in the wider type,
         # so the tail is not cast into int16 where the two overlap.
-        head = recursion._Num(np.full((1, 2, 1), 16000, dtype=np.int16), 0, 0, 0, 0, 16000)
-        tail = recursion._Num(np.full((1, 1, 1), 1 << 20, dtype=np.int32), 0, 0, 0, 0, 1 << 20)
+        head = recursion._Num(np.full((1, 2, 1), 16000, dtype=np.int16), 0, 0, 16000)
+        tail = recursion._Num(np.full((1, 1, 1), 1 << 20, dtype=np.int32), 0, 0, 1 << 20)
         x = recursion._sum_with_q(head, tail, 3)
         assert x.arr.dtype == np.int32
         expected = (mono(16000) + mono(16000 + (1 << 20), eq=1)) * mono(1, et=-3)
         assert recursion._to_ratfunc(x) == RatFunc.of(expected)
-
-    def test_divide_keeps_the_type(self):
-        # (1 - q)(1 + 2q) / (1 - q)^2 in int16: the cumulative sum that
-        # divides by 1 - q stays in int16 rather than numpy's int64.
-        arr = np.array([1, 1, -2], dtype=np.int16).reshape(1, 3, 1)
-        x = recursion._normalize(arr, (0, 0, 0), 2, 2)
-        assert (x.arr.dtype, x.d) == (np.int16, 1)
-        assert recursion._to_ratfunc(x) == RatFunc.of(ONE + mono(2, eq=1), 1)
 
     def test_t1112_stays_int16(self, monkeypatch):
         # The largest coefficient of this series has 13 bits, and no value
@@ -654,9 +638,12 @@ class TestOnePlusA:
 
     @staticmethod
     def reduced(monkeypatch, num: LaurentPoly) -> LaurentPoly:
-        """reduced_numerator of a made-up series num / (1 - q)."""
-        monkeypatch.setattr(recursion, "_evaluate", lambda v, w: as_num(num, 1))
-        return reduced_numerator(2, 3)
+        """reduced_numerator of a made-up series num / (1 - q).  The numerator
+        is shifted by q^4 and the result back, so that q-exponents down to
+        -4 fit an array whose q-axis starts at exponent 0."""
+        shifted = num * mono(1, eq=4)
+        monkeypatch.setattr(recursion, "_evaluate", lambda v, w: as_num(shifted, 1))
+        return reduced_numerator(2, 3) * mono(1, eq=-4)
 
     def test_refuses_what_one_plus_a_does_not_divide(self, monkeypatch):
         num = ONE + A + A * A
@@ -718,7 +705,7 @@ class TestAZeroQuotient:
     def test_quotient_multiply_is_an_offset(self):
         x = recursion._base(4, a0=True)
         y = recursion._times_t_plus_a(x, 3, a0=True)
-        assert y.arr is x.arr and (y.oa, y.oq, y.ot, y.d) == (0, 0, 3, 4)
+        assert y.arr is x.arr and (y.ot, y.d) == (3, 4)
 
     def test_quotient_base_has_no_a(self):
         x = recursion._base(200, a0=True)
