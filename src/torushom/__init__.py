@@ -29,7 +29,6 @@ from .algebra import (
     LaurentPoly,
     RatFunc,
     qta_degree_from_QTA,
-    ratfunc_normalize,
     series_truncate,
 )
 from .braid import (

@@ -1,4 +1,5 @@
-"""Exact Laurent polynomial and rational-function arithmetic in a, q, t.
+"""Exact Laurent polynomial arithmetic in a, q, t, and the rational functions
+N / (1 - q)^d built from it.
 
 Everything here is integer-exact: coefficients are Python ints, denominators
 are restricted to powers of (1 - q).  Values are immutable after construction
@@ -54,10 +55,6 @@ class LaurentPoly:
         res._terms = terms
         res._hash = None
         return res
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
 
     @staticmethod
     def monomial(coeff: int, ea: int = 0, eq: int = 0, et: int = 0) -> "LaurentPoly":
@@ -175,36 +172,14 @@ ONE = LaurentPoly.one()
 A = LaurentPoly.monomial(1, ea=1)
 Q = LaurentPoly.monomial(1, eq=1)
 T = LaurentPoly.monomial(1, et=1)
-ONE_MINUS_Q = ONE - Q
-
-
-def divide_by_one_minus_q(p: LaurentPoly) -> Optional[LaurentPoly]:
-    """Exact quotient p / (1 - q), or None if (1 - q) does not divide p.
-
-    Long division in q per (e_a, e_t) label: with p = sum_k c_k q^k,
-    p = (1-q) * sum_k d_k q^k forces d_k = c_k + d_{k-1} from the bottom up.
-    """
-    by_label: dict[tuple[int, int], dict[int, int]] = {}
-    for (ea, eq, et), c in p._terms.items():
-        by_label.setdefault((ea, et), {})[eq] = c
-    out: dict[Exponent, int] = {}
-    for (ea, et), coeffs in by_label.items():
-        lo = min(coeffs)
-        hi = max(coeffs)
-        carry = 0
-        for k in range(lo, hi):
-            carry = coeffs.get(k, 0) + carry
-            if carry:
-                out[(ea, k, et)] = carry
-        # Exactness: the top coefficient must cancel the final carry.
-        if coeffs.get(hi, 0) + carry != 0:
-            return None
-    return LaurentPoly._of_clean(out)
 
 
 @dataclass(frozen=True)
 class RatFunc:
-    """numerator / (1 - q)**denom_power, kept in lowest terms."""
+    """num / (1 - q)**denom_pow, a plain record built in lowest terms: the
+    recursion keeps its numerators prime to 1 - q (recursion's module
+    docstring), regrade_t refuses an image that is not, and the closed forms
+    that the suites and tests write are reduced by hand."""
 
     num: LaurentPoly
     denom_pow: int = 0
@@ -213,72 +188,32 @@ class RatFunc:
         if self.denom_pow < 0:
             raise ValueError("denominator power must be >= 0")
 
-    # -- canonical construction --------------------------------------------
-
-    @staticmethod
-    def of(num: LaurentPoly, denom_pow: int = 0) -> "RatFunc":
-        return ratfunc_normalize(num, denom_pow)
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RatFunc":
-        return RatFunc(p, 0)
-
-    @staticmethod
-    def zero() -> "RatFunc":
-        return RatFunc(LaurentPoly.zero(), 0)
-
-    @staticmethod
-    def one() -> "RatFunc":
-        return RatFunc(LaurentPoly.one(), 0)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        d = max(self.denom_pow, other.denom_pow)
-        n1 = self.num * ONE_MINUS_Q ** (d - self.denom_pow)
-        n2 = other.num * ONE_MINUS_Q ** (d - other.denom_pow)
-        return ratfunc_normalize(n1 + n2, d)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + RatFunc(-other.num, other.denom_pow)
-
-    def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, LaurentPoly):
-            other = RatFunc.from_poly(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return ratfunc_normalize(self.num * other.num, self.denom_pow + other.denom_pow)
-
     def regrade_t(self, eq: int, et: int) -> "RatFunc":
-        """Replace t by q^eq * t^et; a and q, and so the denominator, stay."""
+        """Replace t by q^eq * t^et; a and q, and so the denominator, stay.
+
+        With denom_pow > 0 the image is in lowest terms unless 1 - q divides
+        its numerator N', that is unless N'(a, 1, t) = 0.  For an input N in
+        lowest terms that happens only when et = 0 and N(a, 1, 1) = 0: for
+        et != 0, N'(a, 1, t) = N(a, 1, t^et) is not 0.  No recursion output
+        has N(a, 1, 1) = 0, by fact (i) of recursion's module docstring.
+        This raises ArithmeticError exactly when denom_pow > 0 and the
+        image's coefficients sum to 0 over q for every (a, t) label.
+        """
         out: dict[Exponent, int] = {}
+        sums: dict[tuple[int, int], int] = {}  # the image at q = 1
         for (ea, q, t), c in self.num._terms.items():
             exp = (ea, q + t * eq, t * et)
             out[exp] = out.get(exp, 0) + c
-        return ratfunc_normalize(LaurentPoly(out), self.denom_pow)
+            sums[ea, t * et] = sums.get((ea, t * et), 0) + c
+        if self.denom_pow and not any(sums.values()):
+            raise ArithmeticError(
+                f"t -> q^{eq} t^{et} maps {render_ratfunc(self)} to a value "
+                "that is not in lowest terms"
+            )
+        return RatFunc(LaurentPoly(out), self.denom_pow)
 
     def __repr__(self) -> str:
         return f"RatFunc({render_ratfunc(self)!r})"
-
-
-def ratfunc_normalize(num: LaurentPoly, denom_pow: int) -> RatFunc:
-    """Divide out every common factor of (1 - q)."""
-    if denom_pow < 0:
-        raise ValueError("denominator power must be >= 0")
-    if num.is_zero():
-        return RatFunc(LaurentPoly.zero(), 0)
-    while denom_pow > 0:
-        q = divide_by_one_minus_q(num)
-        if q is None:
-            break
-        num = q
-        denom_pow -= 1
-    return RatFunc(num, denom_pow)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def _cmd_hhh(args) -> int:
     if args.reduced:
         poly = recursion.reduced_knot_poly(m, n)
         if args.json:
-            print(ratfunc_to_json(RatFunc.from_poly(poly)))
+            print(ratfunc_to_json(RatFunc(poly)))
         else:
             print(render_poly(poly))
         return 0

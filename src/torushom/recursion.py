@@ -402,12 +402,11 @@ def _check_knot(m: int, n: int) -> None:
 
 
 def _knot_numerator(x: _Num, m: int, n: int) -> _Num:
-    """(1-q) * x for the series x of T(m, n)."""
-    if x.d > 1:
-        raise ValueError(f"residual denominator (1-q)^{x.d - 1}: T({m},{n}) is not a knot")
-    if x.d == 1:
-        return _Num(x.arr, x.ot, 0, x.bound)
-    return _Num(_lift(_room(x, 2), 1), x.ot, 0, 2 * x.bound)
+    """(1-q) * x for the series x of the knot T(m, n), whose denominator is
+    1 - q."""
+    if x.d != 1:
+        raise ArithmeticError(f"the T({m},{n}) series has denominator (1-q)^{x.d}, not 1-q")
+    return _Num(x.arr, x.ot, 0, x.bound)
 
 
 def reduced_numerator(m: int, n: int) -> LaurentPoly:

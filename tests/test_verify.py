@@ -3,6 +3,7 @@ import time
 import pytest
 
 from torushom import verify
+from torushom.algebra import ONE
 
 SUITES = {
     "knot-divisibility": (verify.suite_knot_divisibility, 1),
@@ -119,3 +120,12 @@ def test_hecke_vs_brute_catches_a_changed_rotation_row(monkeypatch):
     report = small_hecke_vs_brute()
     assert "e-count is invariant under cyclic rotation" in failed_checks(report)
     assert "('1,2', 1)" in report.checks[2].actual
+
+
+def test_knot_divisibility_catches_a_count_off_by_one(monkeypatch):
+    # q - 1 divides every knot's count, so it cannot divide the count + 1.
+    point_count = verify.hecke.point_count
+    monkeypatch.setattr(verify.hecke, "point_count", lambda b, w: point_count(b, w) + ONE)
+    report = verify.suite_knot_divisibility()
+    assert failed_checks(report) == [report.checks[0].name]
+    assert report.checks[0].name.startswith("(q-1)^(n-1) divides #X for the T(2,k<=9)")
